@@ -18,7 +18,7 @@ from spamtomo import (
     delta_statistics,
     embed_n_plus_1,
     run_experiment,
-    true_expectation,
+    true_expectation_matrix,
 )
 
 print(f"{'offset':>10} {'true S(1,1)':>12} {'median significance over 20 seeds':>35}")
@@ -31,7 +31,7 @@ for offset in (np.pi / 4, np.pi / 8, np.pi / 20, np.pi / 40):
         errors=(injection,),
         noise=NoiseModel(shots_per_setting=None, angle_jitter_sigma=0.0, seed=0),
     )
-    truth = true_expectation(analytic, 1, 1)
+    truth = true_expectation_matrix(analytic)[0, 0]
 
     sigs = []
     for seed in range(20):
@@ -42,8 +42,8 @@ for offset in (np.pi / 4, np.pi / 8, np.pi / 20, np.pi / 40):
             errors=(injection,),
             noise=NoiseModel(seed=seed),
         )
-        samples = [embed_n_plus_1(m) for m in run_experiment(plan)]
-        sigs.append(delta_statistics(samples).significance.max())
+        stack = embed_n_plus_1(run_experiment(plan))
+        sigs.append(delta_statistics(stack).significance.max())
     print(f"{offset/np.pi:>9.4f}p {truth:>12.4f} {np.median(sigs):>35.2f}")
 
 print("\n(detection threshold is 3 sigma)")

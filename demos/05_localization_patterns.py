@@ -26,25 +26,31 @@ from spamtomo import (
 np.set_printoptions(precision=4, suppress=True)
 
 
-def analytic_pattern(scheme, injection):
-    plan = ExperimentPlan(
-        scheme=scheme,
-        prep_settings=default_settings(scheme),
-        meas_settings=default_settings(scheme),
-        errors=(injection,),
-        noise=NoiseModel(shots_per_setting=None, angle_jitter_sigma=0.0, seed=0),
-    )
-    matrix = true_expectation_matrix(plan)
-    if matrix.shape == (4, 4):
-        matrix = embed_n_plus_1(matrix)
-    return partial_determinant(matrix) - np.eye(3)
+def analytic_patterns(scheme, locations):
+    """Noiseless partial-determinant deviation for a quarter-turn error at
+    each location, evaluated as one stack."""
+    matrices = np.array([
+        true_expectation_matrix(
+            ExperimentPlan(
+                scheme=scheme,
+                prep_settings=default_settings(scheme),
+                meas_settings=default_settings(scheme),
+                errors=(ErrorInjection(a, i, np.pi / 4),),
+                noise=NoiseModel(shots_per_setting=None, angle_jitter_sigma=0.0, seed=0),
+            )
+        )
+        for a, i in locations
+    ])
+    if scheme is Scheme.N_PLUS_ONE:
+        matrices = embed_n_plus_1(matrices)
+    return partial_determinant(matrices) - np.eye(3)
 
 
+locations = ((1, 1), (2, 2))
 for scheme in (Scheme.TWO_N, Scheme.N_PLUS_ONE):
-    for location in ((1, 1), (2, 2)):
-        injection = ErrorInjection(location[0], location[1], np.pi / 4)
+    for location, pattern in zip(locations, analytic_patterns(scheme, locations)):
         print(f"-- error at {location}, scheme {scheme.value} --")
-        print(analytic_pattern(scheme, injection))
+        print(pattern)
         print()
 
 print("-- noisy run with the (2,2) error, six settings: localization --")

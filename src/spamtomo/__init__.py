@@ -11,11 +11,9 @@ from .data_io import emit_plot_data, load_measurements, read_report, save_measur
 from .detect import (
     DeltaStats,
     DetectionReport,
-    corner_blocks,
     delta_statistics,
     detect,
     embed_n_plus_1,
-    extract_compact,
     localize,
     partial_determinant,
     validate_expectation_matrix,
@@ -47,11 +45,9 @@ from .optics import (
     qwp_unitary,
     repetition_rng,
     run_experiment,
-    sample_expectation,
     source_density,
     theoretical_observables,
     theoretical_states,
-    true_expectation,
     true_expectation_matrix,
 )
 from .qubit import (

@@ -186,6 +186,22 @@ def _parse_settings(raw, key, scheme):
     return tuple(settings)
 
 
+def _parse_enum(kind, raw, key, default):
+    if key not in raw:
+        return default
+    try:
+        return kind(raw[key])
+    except ValueError:
+        choices = [member.value for member in kind]
+        raise ConfigError(f"{key} must be one of {choices}, got {raw[key]!r}", field=key) from None
+
+
+def _parse_index(value, name):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}", field=name)
+    return value
+
+
 def _parse_injections(raw):
     if not isinstance(raw, list):
         raise ConfigError("error_injections must be a list", field="error_injections")
@@ -200,8 +216,8 @@ def _parse_injections(raw):
             )
         injections.append(
             ErrorInjection(
-                prep_index=int(entry["prep"]),
-                setting_index=int(entry["setting"]),
+                prep_index=_parse_index(entry["prep"], f"error_injections[{k}].prep"),
+                setting_index=_parse_index(entry["setting"], f"error_injections[{k}].setting"),
                 hwp_offset=parse_angle(entry["hwp_offset"], f"error_injections[{k}].hwp_offset"),
             )
         )
@@ -224,7 +240,7 @@ def config_from_dict(raw, base=None):
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}", field=sorted(unknown)[0])
 
     base = base if base is not None else RunConfig()
-    scheme = Scheme(raw["scheme"]) if "scheme" in raw else base.scheme
+    scheme = _parse_enum(Scheme, raw, "scheme", base.scheme)
     shots = raw.get("shots", base.shots_per_setting)
     if isinstance(shots, str):
         if shots.lower() in ("inf", "infinite", "analytic"):
@@ -238,7 +254,7 @@ def config_from_dict(raw, base=None):
     kwargs = {
         "mode": raw.get("mode", base.mode),
         "scheme": scheme,
-        "source": SourceKind(raw["state"]) if "state" in raw else base.source,
+        "source": _parse_enum(SourceKind, raw, "state", base.source),
         "shots_per_setting": shots,
         "angle_jitter_sigma": raw.get("angle_jitter_sigma", base.angle_jitter_sigma),
         "seed": raw.get("seed", base.seed),

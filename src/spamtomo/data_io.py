@@ -62,9 +62,9 @@ def _parse_header(line):
 def load_measurements(path):
     """Read a measurement file; returns ``(matrices, scheme)``.
 
-    Entries are validated to lie within [-1, 1] (tolerance 1e-9); any
-    malformed row or out-of-range value is reported with its block, row
-    and column (all 1-based).
+    Entries are validated to lie within [-1, 1] (tolerance 1e-9; NaN and
+    infinities fail); any malformed row or out-of-range value is reported
+    with its block, row and column (all 1-based).
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -113,7 +113,7 @@ def load_measurements(path):
                         f"block {b}, row {r}, column {c}: {part!r} is not a number",
                         block=b, row=r, col=c,
                     ) from None
-                if abs(value) > 1.0 + 1e-9:
+                if not abs(value) <= 1.0 + 1e-9:
                     raise DataFormatError(
                         f"block {b}, row {r}, column {c}: value {value} outside [-1, 1]",
                         block=b, row=r, col=c,

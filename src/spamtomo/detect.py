@@ -14,28 +14,29 @@ test, and the deviation pattern localizes which preparation/setting pair
 carries the error.
 
 Compact 4x4 matrices from the four-setting scheme are first embedded into
-6x6 form by duplicating rows and columns 2 and 3.
+6x6 form by duplicating rows and columns 2 and 3 (see
+:attr:`Scheme.embed_index`).  Embedding, the partial determinant and its
+statistics all work on a whole ``(repetitions, 6, 6)`` stack at once.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._linalg import DET_RTOL, guarded_inv3
-from .errors import ShapeError, SingularMatrixError
+from .errors import ShapeError
 from .optics import Scheme
 
-# Row/column duplication used to inflate a compact 4x4 matrix to 6x6.
-EMBED_INDEX = (0, 1, 2, 3, 1, 2)
+_CORNERS = ("upper-left corner", "lower-right corner")
 
 
 def validate_expectation_matrix(values, atol=1e-9):
     """Check shape (6x6 or 4x4) and that every entry is an expectation
-    value in [-1, 1] up to ``atol``."""
+    value in [-1, 1] up to ``atol``; NaN fails the range test."""
     values = np.asarray(values, dtype=float)
     if values.shape not in ((6, 6), (4, 4)):
         raise ShapeError(f"expectation matrix must be 6x6 or 4x4, got shape {values.shape}")
-    bad = np.abs(values) > 1.0 + atol
+    bad = ~(np.abs(values) <= 1.0 + atol)
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise ShapeError(
@@ -45,47 +46,37 @@ def validate_expectation_matrix(values, atol=1e-9):
 
 
 def embed_n_plus_1(compact):
-    """Inflate a compact 4x4 matrix to 6x6 by copying rows and columns.
+    """Inflate a compact 4x4 matrix, or a ``(..., 4, 4)`` stack, to 6x6
+    by copying rows and columns.
 
     Rows 5 and 6 duplicate rows 2 and 3, and likewise for columns, so for
     example entry (5, 6) of the result equals entry (2, 3) of the input.
     """
     compact = np.asarray(compact, dtype=float)
-    if compact.shape != (4, 4):
-        raise ShapeError(f"embedding expects a 4x4 matrix, got shape {compact.shape}")
-    idx = np.array(EMBED_INDEX)
-    return compact[np.ix_(idx, idx)]
-
-
-def extract_compact(full):
-    """Recover the independent 4x4 block of an embedded 6x6 matrix."""
-    full = np.asarray(full, dtype=float)
-    if full.shape != (6, 6):
-        raise ShapeError(f"extraction expects a 6x6 matrix, got shape {full.shape}")
-    return full[:4, :4].copy()
-
-
-def corner_blocks(values):
-    """The four 3x3 corners (upper-left, upper-right, lower-left,
-    lower-right) of a 6x6 expectation matrix."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (6, 6):
-        raise ShapeError(f"corner partition expects a 6x6 matrix, got shape {values.shape}")
-    return values[:3, :3], values[:3, 3:], values[3:, :3], values[3:, 3:]
+    if compact.shape[-2:] != (4, 4):
+        raise ShapeError(f"embedding expects 4x4 matrices, got shape {compact.shape}")
+    idx = np.array(Scheme.N_PLUS_ONE.embed_index)
+    # C order, as when stacking a list of embedded matrices: a reduction
+    # over the repetition axis then sums in the same order, bit for bit.
+    return np.ascontiguousarray(compact[..., idx[:, None], idx])
 
 
 def partial_determinant(values, det_rtol=DET_RTOL):
-    """Partial determinant ``A^-1 B D^-1 C`` of a 6x6 expectation matrix.
+    """Partial determinant ``A^-1 B D^-1 C`` of a 6x6 expectation matrix,
+    or of every matrix in a ``(..., 6, 6)`` stack.
 
     Raises :class:`SingularMatrixError` naming the corner when the
     upper-left or lower-right block cannot be inverted reliably; that
     indicates a degenerate choice of settings rather than a correlated
-    error.
+    error.  For a stack the error names the lowest failing sample
+    (1-based), and within it the upper-left corner before the lower-right.
     """
-    a, b, c, d = corner_blocks(values)
-    a_inv = guarded_inv3(a, det_rtol, where="upper-left corner")
-    d_inv = guarded_inv3(d, det_rtol, where="lower-right corner")
-    return a_inv @ b @ d_inv @ c
+    values = np.asarray(values, dtype=float)
+    if values.shape[-2:] != (6, 6):
+        raise ShapeError(f"partial determinant expects 6x6 matrices, got shape {values.shape}")
+    corners = np.stack([values[..., :3, :3], values[..., 3:, 3:]], axis=-3)
+    inverses = guarded_inv3(corners, det_rtol, where=_CORNERS)
+    return inverses[..., 0, :, :] @ values[..., :3, 3:] @ inverses[..., 1, :, :] @ values[..., 3:, :3]
 
 
 @dataclass(frozen=True)
@@ -102,7 +93,7 @@ class DeltaStats:
 
 
 def delta_statistics(samples, det_rtol=DET_RTOL):
-    """Statistics of ``Delta - 1`` over a list of 6x6 matrices.
+    """Statistics of ``Delta - 1`` over a stack (or list) of 6x6 matrices.
 
     Uses the unbiased (N-1) standard deviation.  When the spread of an
     element is exactly zero its significance is the infinity sentinel if
@@ -110,16 +101,12 @@ def delta_statistics(samples, det_rtol=DET_RTOL):
     zero otherwise.  A singular corner in any sample aborts the analysis
     with the sample index attached.
     """
-    samples = list(samples)
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 3:
+        raise ShapeError(f"statistics need a stack of 6x6 matrices, got shape {samples.shape}")
     if len(samples) < 2:
         raise ShapeError(f"need at least 2 repetitions for statistics, got {len(samples)}")
-    deviations = []
-    for k, values in enumerate(samples):
-        try:
-            deviations.append(partial_determinant(values, det_rtol) - np.eye(3))
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"sample {k + 1}: {exc}", where=exc.where) from exc
-    stack = np.array(deviations)
+    stack = partial_determinant(samples, det_rtol) - np.eye(3)
     mean = stack.mean(axis=0)
     std = stack.std(axis=0, ddof=1)
     # "zero" spread/mean below the exact-algebra floor, so roundoff dust

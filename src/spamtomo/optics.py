@@ -63,6 +63,13 @@ class Scheme(str, enum.Enum):
     def n_settings(self):
         return 6 if self is Scheme.TWO_N else 4
 
+    @property
+    def embed_index(self):
+        """Preparation (and setting) index, 0-based, behind each row (and
+        column) of the 6x6 matrix the partial determinant tests: the
+        identity for six settings; for four, rows 5 and 6 repeat 2 and 3."""
+        return (0, 1, 2, 3, 4, 5) if self is Scheme.TWO_N else (0, 1, 2, 3, 1, 2)
+
 
 class SourceKind(str, enum.Enum):
     PURE_H = "pure_h"
@@ -272,40 +279,28 @@ def _injection_offset(plan, a, i):
     )
 
 
-def true_expectation(plan, a, i):
-    """Noiseless expectation value for preparation ``a`` and setting ``i``
-    (1-based), including any matching injected error."""
-    m, n = len(plan.prep_settings), len(plan.meas_settings)
-    if not (1 <= a <= m and 1 <= i <= n):
-        raise IndexError(f"(a, i) = ({a}, {i}) outside the {m}x{n} plan")
-    rho0 = source_density(plan.source)
-    s = _prep_stokes(rho0, plan.prep_settings[a - 1].qwp_angle, plan.prep_settings[a - 1].hwp_angle)
-    meas = plan.meas_settings[i - 1]
-    w = _meas_vectors(meas.qwp_angle, meas.hwp_angle + _injection_offset(plan, a, i))
-    return float(s @ w)
+def _plate_angles(settings):
+    return (
+        np.array([s.qwp_angle for s in settings]),
+        np.array([s.hwp_angle for s in settings]),
+    )
+
+
+def _expectation_matrix(plan, prep_q, prep_h, meas_q, meas_h):
+    """Noiseless matrix at the given plate angles, with the plan's
+    injected errors applied to their (preparation, setting) elements."""
+    p_rows = _prep_stokes(source_density(plan.source), prep_q, prep_h)
+    values = p_rows @ _meas_vectors(meas_q, meas_h).T
+    for err in plan.errors:
+        a, i = err.prep_index - 1, err.setting_index - 1
+        w = _meas_vectors(meas_q[i], meas_h[i] + _injection_offset(plan, a + 1, i + 1))
+        values[a, i] = p_rows[a] @ w
+    return values
 
 
 def true_expectation_matrix(plan):
     """The full noiseless expectation matrix of a plan, injections applied."""
-    rho0 = source_density(plan.source)
-    p_rows = _prep_stokes(
-        rho0,
-        np.array([s.qwp_angle for s in plan.prep_settings]),
-        np.array([s.hwp_angle for s in plan.prep_settings]),
-    )
-    w_cols = _meas_vectors(
-        np.array([s.qwp_angle for s in plan.meas_settings]),
-        np.array([s.hwp_angle for s in plan.meas_settings]),
-    ).T
-    values = p_rows @ w_cols
-    for err in plan.errors:
-        meas = plan.meas_settings[err.setting_index - 1]
-        w = _meas_vectors(
-            meas.qwp_angle,
-            meas.hwp_angle + _injection_offset(plan, err.prep_index, err.setting_index),
-        )
-        values[err.prep_index - 1, err.setting_index - 1] = p_rows[err.prep_index - 1] @ w
-    return values
+    return _expectation_matrix(plan, *_plate_angles(plan.prep_settings), *_plate_angles(plan.meas_settings))
 
 
 def theoretical_states(plan):
@@ -318,22 +313,6 @@ def theoretical_observables(plan):
     """Observable vectors predicted from the nominal plan angles, as the
     columns of a 3xN array."""
     return np.array([measurement_observable(s) for s in plan.meas_settings]).T
-
-
-def sample_expectation(true_value, noise, rng):
-    """One counting-noise sample of an expectation value.
-
-    Draws ``k ~ Binomial(shots, (1 + value) / 2)`` and returns
-    ``2 k / shots - 1``; in analytic mode (``shots_per_setting is None``)
-    the true value is returned unchanged.
-    """
-    if not -1.0 - 1e-9 <= true_value <= 1.0 + 1e-9:
-        raise NonPhysicalError(f"expectation value {true_value} outside [-1, 1]")
-    if noise.shots_per_setting is None:
-        return float(true_value)
-    p = min(max((1.0 + true_value) / 2.0, 0.0), 1.0)
-    k = rng.binomial(noise.shots_per_setting, p)
-    return 2.0 * k / noise.shots_per_setting - 1.0
 
 
 def _sample_matrix(true_values, noise, rng):
@@ -354,22 +333,19 @@ def run_experiment(plan):
     plates in order, quarter before half, then measurement plates), then
     the counting draws in row-major element order.
     """
-    rho0 = source_density(plan.source)
     m, n = len(plan.prep_settings), len(plan.meas_settings)
+    prep_q, prep_h = _plate_angles(plan.prep_settings)
+    meas_q, meas_h = _plate_angles(plan.meas_settings)
     samples = []
     for rep in range(plan.repetitions):
         rng = repetition_rng(plan.noise.seed, rep)
         eps = rng.standard_normal(2 * (m + n)) * plan.noise.angle_jitter_sigma
-        prep_q = np.array([s.qwp_angle for s in plan.prep_settings]) + eps[0 : 2 * m : 2]
-        prep_h = np.array([s.hwp_angle for s in plan.prep_settings]) + eps[1 : 2 * m : 2]
-        meas_q = np.array([s.qwp_angle for s in plan.meas_settings]) + eps[2 * m :: 2]
-        meas_h = np.array([s.hwp_angle for s in plan.meas_settings]) + eps[2 * m + 1 :: 2]
-        p_rows = _prep_stokes(rho0, prep_q, prep_h)
-        w_cols = _meas_vectors(meas_q, meas_h).T
-        true_values = p_rows @ w_cols
-        for err in plan.errors:
-            a, i = err.prep_index - 1, err.setting_index - 1
-            w = _meas_vectors(meas_q[i], meas_h[i] + _injection_offset(plan, a + 1, i + 1))
-            true_values[a, i] = p_rows[a] @ w
+        true_values = _expectation_matrix(
+            plan,
+            prep_q + eps[0 : 2 * m : 2],
+            prep_h + eps[1 : 2 * m : 2],
+            meas_q + eps[2 * m :: 2],
+            meas_h + eps[2 * m + 1 :: 2],
+        )
         samples.append(_sample_matrix(true_values, plan.noise, rng))
     return samples

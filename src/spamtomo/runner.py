@@ -39,15 +39,17 @@ EXIT_CLEAN = 0
 EXIT_ERROR = 1
 EXIT_DETECTED = 2
 
-# Distinct operators recovered by the loop, per scheme.  For the compact
-# scheme the embedded columns 4-6 hold settings (4, 2, 3), so the loop's
-# new observables map back to distinct settings 4, 2 and 3; states beyond
-# the first three are duplicates except for preparation 4 (embedded row 4).
-_SCORED_STATES = {Scheme.TWO_N: (1, 2, 3, 4, 5, 6), Scheme.N_PLUS_ONE: (1, 2, 3, 4)}
-_SCORED_POVMS = {Scheme.TWO_N: (4, 5, 6), Scheme.N_PLUS_ONE: (4, 2, 3)}
-# Loop output rows/columns (0-based) holding those operators.
-_STATE_ROWS = {Scheme.TWO_N: (0, 1, 2, 3, 4, 5), Scheme.N_PLUS_ONE: (0, 1, 2, 3)}
-_POVM_COLS = {Scheme.TWO_N: (3, 4, 5), Scheme.N_PLUS_ONE: (3, 4, 5)}
+
+def _scored_operators(scheme):
+    """Loop rows and columns scored against the plan.
+
+    Rows: the first row of each distinct preparation in the embedded
+    matrix.  Columns: the three observables the loop reconstructs (columns
+    1-3 echo the known inputs).  ``scheme.embed_index`` maps both to the
+    0-based preparation and setting they hold.
+    """
+    index = scheme.embed_index
+    return tuple(r for r, p in enumerate(index) if p not in index[:r]), (3, 4, 5)
 
 
 @dataclass
@@ -92,15 +94,16 @@ class RunReport:
                 "note": self.detection.note,
             }
         if self.reconstruction is not None:
-            scheme = self.config.scheme
+            index = self.config.scheme.embed_index
+            rows, cols = _scored_operators(self.config.scheme)
             report["reconstruction"] = {
                 "prep_stokes": self.reconstruction.prep_stokes,
                 "obs_vectors": self.reconstruction.obs_vectors,
                 "prep_renormalized": self.reconstruction.prep_renormalized.tolist(),
                 "obs_renormalized": self.reconstruction.obs_renormalized.tolist(),
                 "consistency_residual": self.reconstruction.consistency_residual,
-                "scored_states": list(_SCORED_STATES[scheme]),
-                "scored_povms": list(_SCORED_POVMS[scheme]),
+                "scored_states": [index[r] + 1 for r in rows],
+                "scored_povms": [index[c] + 1 for c in cols],
             }
         if self.scores is not None:
             report["scores"] = {
@@ -111,7 +114,7 @@ class RunReport:
         return report
 
 
-def _obtain_samples(config):
+def _obtain_samples(config, plan):
     """Measured matrices for the run: loaded from file when a data path is
     configured, simulated from the plan otherwise."""
     if config.input_data_path is not None:
@@ -123,35 +126,32 @@ def _obtain_samples(config):
                 field="scheme",
             )
         return [validate_expectation_matrix(m) for m in matrices]
-    return run_experiment(config.plan())
+    return run_experiment(plan)
 
 
-def _known_observables(config):
+def _known_observables(config, true_obs):
     """Observable columns of settings 1-3 used as the known side of the
-    loop: taken from the configuration when supplied, otherwise predicted
-    from the nominal plan angles."""
+    loop: taken from the configuration when supplied, otherwise the
+    nominal predictions ``true_obs``."""
     if config.known_povms is not None:
         return np.asarray(config.known_povms, dtype=float).T
-    return theoretical_observables(config.plan())[:, :3]
+    return true_obs[:, :3]
 
 
-def _reconstruct_and_score(config, embedded):
-    mean_matrix = np.mean(embedded, axis=0)
-    known_w = _known_observables(config)
-    loop = loop_bootstrap(mean_matrix, known_w)
-    scheme = config.scheme
-
-    plan = config.plan()
-    true_states = theoretical_states(plan)
+def _reconstruct_and_score(config, plan, embedded):
     true_obs = theoretical_observables(plan)
+    loop = loop_bootstrap(np.mean(embedded, axis=0), _known_observables(config, true_obs))
+    true_states = theoretical_states(plan)
+    index = config.scheme.embed_index
+    rows, cols = _scored_operators(config.scheme)
 
-    rec_states = [density_from_stokes(loop.prep_stokes[r]) for r in _STATE_ROWS[scheme]]
-    ref_states = [true_states[i - 1] for i in _SCORED_STATES[scheme]]
-    rec_povms = [povm_from_observable(loop.obs_vectors[:, c]).e for c in _POVM_COLS[scheme]]
-    ref_povms = [povm_from_observable(true_obs[:, i - 1]).e for i in _SCORED_POVMS[scheme]]
+    rec_states = [density_from_stokes(loop.prep_stokes[r]) for r in rows]
+    ref_states = [true_states[index[r]] for r in rows]
+    rec_povms = [povm_from_observable(loop.obs_vectors[:, c]).e for c in cols]
+    ref_povms = [povm_from_observable(true_obs[:, index[c]]).e for c in cols]
 
-    flags = [bool(loop.prep_renormalized[r]) for r in _STATE_ROWS[scheme]]
-    flags += [bool(loop.obs_renormalized[c]) for c in _POVM_COLS[scheme]]
+    flags = [bool(loop.prep_renormalized[r]) for r in rows]
+    flags += [bool(loop.obs_renormalized[c]) for c in cols]
     scores = score_reconstruction(rec_states, ref_states, rec_povms, ref_povms, flags)
     return loop, scores
 
@@ -166,13 +166,16 @@ def run(config):
     detected.
     """
     start = time.monotonic()
-    samples = _obtain_samples(config)
+    # One plan drives the simulation and is the scoring reference; loaded
+    # data needs it only for scoring.
+    plan = config.plan() if config.input_data_path is None else None
+    samples = _obtain_samples(config, plan)
     report = RunReport(config=config, samples=samples)
 
     if config.mode != "simulate":
-        embedded = [
-            embed_n_plus_1(m) if m.shape == (4, 4) else m for m in samples
-        ]
+        embedded = np.array(samples)
+        if config.scheme is Scheme.N_PLUS_ONE:
+            embedded = embed_n_plus_1(embedded)
         stats = delta_statistics(embedded)
         detection = localize(
             detect(stats, config.detection_threshold, config.scheme)
@@ -182,7 +185,9 @@ def run(config):
         report.exit_code = EXIT_DETECTED if detection.detected else EXIT_CLEAN
 
         if config.mode in ("reconstruct", "full") and not detection.detected:
-            report.reconstruction, report.scores = _reconstruct_and_score(config, embedded)
+            report.reconstruction, report.scores = _reconstruct_and_score(
+                config, plan or config.plan(), embedded
+            )
 
     report.wall_clock_seconds = time.monotonic() - start
     return report
@@ -199,8 +204,9 @@ def write_outputs(report, out_dir=None):
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
+    payload = report.to_dict()
     report_path = os.path.join(out_dir, "report.json")
-    write_report(report_path, report.to_dict())
+    write_report(report_path, payload)
     paths["report"] = report_path
 
     if config.mode in ("simulate", "full"):
@@ -210,7 +216,7 @@ def write_outputs(report, out_dir=None):
 
     if report.stats is not None:
         grid_path = os.path.join(out_dir, "plot_grids.csv")
-        emit_plot_data(report.to_dict(), grid_path)
+        emit_plot_data(payload, grid_path)
         paths["plot_grids"] = grid_path
 
     timing_path = os.path.join(out_dir, "timing.txt")

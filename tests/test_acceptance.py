@@ -31,7 +31,6 @@ from spamtomo import (
     run_experiment,
     stokes_from_density,
     theoretical_observables,
-    true_expectation,
     true_expectation_matrix,
     write_outputs,
 )
@@ -62,12 +61,11 @@ def make_plan(scheme=Scheme.TWO_N, source=SourceKind.PURE_H, errors=(), seed=0,
 
 
 def embedded_samples(plan, perturb=None):
-    samples = run_experiment(plan)
+    samples = np.array(run_experiment(plan))
     if perturb is not None:
-        for matrix in samples:
-            for (r, c), value in perturb.items():
-                matrix[r - 1, c - 1] = value
-    return [embed_n_plus_1(m) if m.shape == (4, 4) else m for m in samples]
+        for (r, c), value in perturb.items():
+            samples[:, r - 1, c - 1] = value
+    return embed_n_plus_1(samples) if plan.scheme is Scheme.N_PLUS_ONE else samples
 
 
 def max_significance(plan, perturb=None):
@@ -87,12 +85,10 @@ def test_criterion_01_consistency_theorem():
         return v * np.where(on_surface, 1.0, r)[:, None]
 
     start = time.monotonic()
-    worst = 0.0
-    for _ in range(10_000):
-        p = ball(6, surface_fraction=0.0)
-        w = ball(6, surface_fraction=0.5).T
-        delta = partial_determinant(p @ w)
-        worst = max(worst, np.abs(delta - np.eye(3)).max())
+    matrices = np.array(
+        [ball(6, surface_fraction=0.0) @ ball(6, surface_fraction=0.5).T for _ in range(10_000)]
+    )
+    worst = np.abs(partial_determinant(matrices) - np.eye(3)).max()
     elapsed = time.monotonic() - start
     assert worst < 1e-9, f"max |Delta - 1| = {worst}"
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -124,7 +120,7 @@ def test_criterion_03_large_error_detection():
     # exactly -1 and the deviation is seen at >= 10 sigma in >= 99 seeds
     errors = (ErrorInjection(1, 1, np.pi / 4),)
     plan = make_plan(Scheme.N_PLUS_ONE, errors=errors, shots=None, jitter=0.0)
-    assert true_expectation(plan, 1, 1) == pytest.approx(-1.0, abs=1e-12)
+    assert true_expectation_matrix(plan)[0, 0] == pytest.approx(-1.0, abs=1e-12)
     detected = sum(
         max_significance(make_plan(Scheme.N_PLUS_ONE, errors=errors, seed=seed)) >= 10.0
         for seed in SEEDS
@@ -138,14 +134,14 @@ def test_criterion_04_medium_error_significance():
     # to 0.04 at the calibrated jitter, median significance within [2, 8]
     errors = (ErrorInjection(1, 1, np.pi / 20),)
     plan = make_plan(Scheme.N_PLUS_ONE, errors=errors, shots=None, jitter=0.0)
-    assert true_expectation(plan, 1, 1) == pytest.approx(np.cos(np.pi / 5), abs=1e-12)
+    assert true_expectation_matrix(plan)[0, 0] == pytest.approx(np.cos(np.pi / 5), abs=1e-12)
 
     injected_values, significances = [], []
     for seed in SEEDS:
         noisy = make_plan(Scheme.N_PLUS_ONE, errors=errors, seed=seed)
         samples = run_experiment(noisy)
         injected_values.extend(m[0, 0] for m in samples)
-        stats = delta_statistics([embed_n_plus_1(m) for m in samples])
+        stats = delta_statistics(embed_n_plus_1(samples))
         significances.append(stats.significance.max())
     spread = float(np.std(injected_values))
     median = float(np.median(significances))
@@ -162,7 +158,7 @@ def test_criterion_05_small_error_not_detected():
     # deviation stays below 3 sigma in at least 90 of 100 seeds
     errors = (ErrorInjection(1, 1, np.pi / 40),)
     plan = make_plan(Scheme.N_PLUS_ONE, errors=errors, shots=None, jitter=0.0)
-    assert true_expectation(plan, 1, 1) == pytest.approx(np.cos(np.pi / 10), abs=1e-12)
+    assert true_expectation_matrix(plan)[0, 0] == pytest.approx(np.cos(np.pi / 10), abs=1e-12)
     quiet = sum(
         max_significance(make_plan(Scheme.N_PLUS_ONE, errors=errors, seed=seed)) < 3.0
         for seed in SEEDS

@@ -69,3 +69,21 @@ class TestCli:
         config = write_config(tmp_path, {"shots": 0})
         code = main(["full", "--config", config])
         assert code == 1
+
+    def test_non_finite_data_exit_code(self, tmp_path, capsys):
+        out_a = str(tmp_path / "a")
+        assert main(["simulate", "--seed", "3", "--out", out_a]) == 0
+        path = tmp_path / "a" / "measurements.csv"
+        lines = path.read_text().splitlines()
+        values = lines[8].split(",")
+        values[4] = "nan"
+        lines[8] = ",".join(values)
+        path.write_text("\n".join(lines))
+        code = main(["analyze", "--data", str(path), "--out", str(tmp_path / "b")])
+        assert code == 1
+        assert "block 2, row 1, column 5" in capsys.readouterr().err
+
+    def test_unparseable_config_value_exit_code(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"state": "circular"})
+        assert main(["full", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("error: state must be one of")

@@ -119,6 +119,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="known_povms"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ({"state": "circular"}, "state"),
+            ({"scheme": "3n"}, "scheme"),
+            ({"error_injections": [{"prep": "x", "setting": 1, "hwp_offset": 0.1}]}, "error_injections[0].prep"),
+            ({"error_injections": [{"prep": 1.7, "setting": 1, "hwp_offset": 0.1}]}, "error_injections[0].prep"),
+            ({"error_injections": [{"prep": 1, "setting": True, "hwp_offset": 0.1}]}, "error_injections[0].setting"),
+        ],
+    )
+    def test_rejects_unparseable_field(self, tmp_path, payload, field):
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(write_config(tmp_path, payload))
+        assert excinfo.value.field == field
+        assert field in str(excinfo.value)
+
     def test_bad_threshold(self, tmp_path):
         path = write_config(tmp_path, {"threshold": -1})
         with pytest.raises(ConfigError, match="threshold"):

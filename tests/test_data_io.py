@@ -6,6 +6,7 @@ from spamtomo import (
     ExperimentPlan,
     NoiseModel,
     Scheme,
+    ShapeError,
     SpamTomoError,
     default_settings,
     delta_statistics,
@@ -14,6 +15,7 @@ from spamtomo import (
     read_report,
     run_experiment,
     save_measurements,
+    validate_expectation_matrix,
     write_report,
 )
 
@@ -73,6 +75,21 @@ class TestMeasurementErrors:
         with pytest.raises(DataFormatError) as excinfo:
             load_measurements(self.write(tmp_path, text))
         assert (excinfo.value.block, excinfo.value.row, excinfo.value.col) == (1, 3, 3)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_located(self, tmp_path, entry):
+        rows = ["0.0,0.0,0.0,0.0"] * 4
+        rows[1] = f"0.0,{entry},0.0,0.0"
+        text = "# spamtomo-measurements v1 scheme=n+1 blocks=2\n" + "\n".join(rows) + "\n\n" + "\n".join(rows) + "\n"
+        with pytest.raises(DataFormatError) as excinfo:
+            load_measurements(self.write(tmp_path, text))
+        assert (excinfo.value.block, excinfo.value.row, excinfo.value.col) == (1, 2, 2)
+
+    def test_validation_rejects_nan(self):
+        matrix = np.zeros((6, 6))
+        matrix[3, 0] = np.nan
+        with pytest.raises(ShapeError, match=r"\(4, 1\)"):
+            validate_expectation_matrix(matrix)
 
     def test_wrong_column_count(self, tmp_path):
         text = (

@@ -8,19 +8,17 @@ from spamtomo import (
     Scheme,
     ShapeError,
     SingularMatrixError,
-    corner_blocks,
     default_settings,
     delta_statistics,
     detect,
     embed_n_plus_1,
-    extract_compact,
     localize,
     partial_determinant,
     run_experiment,
     true_expectation_matrix,
     validate_expectation_matrix,
 )
-from conftest import sample_stokes_ball
+from conftest import sample_invertible, sample_stokes_ball
 
 
 def consistent_matrix(rng, rows=6, cols=6):
@@ -79,14 +77,19 @@ class TestEmbedding:
             assert np.abs(delta - np.eye(3)).max() < 1e-9
 
     def test_extraction_round_trip(self, rng):
-        compact = consistent_matrix(rng, 4, 4)
-        np.testing.assert_array_equal(extract_compact(embed_n_plus_1(compact)), compact)
+        # the compact block of every embedded matrix is its input
+        stack = np.array([consistent_matrix(rng, 4, 4) for _ in range(5)])
+        full = embed_n_plus_1(stack)
+        assert full.shape == (5, 6, 6)
+        np.testing.assert_array_equal(full[:, :4, :4], stack)
+        for k in range(5):
+            np.testing.assert_array_equal(full[k], embed_n_plus_1(stack[k]))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ShapeError):
             embed_n_plus_1(np.ones((6, 6)))
         with pytest.raises(ShapeError):
-            extract_compact(np.ones((4, 4)))
+            embed_n_plus_1(np.ones((3, 4, 5)))
 
 
 class TestPartialDeterminant:
@@ -108,13 +111,36 @@ class TestPartialDeterminant:
         col_mags = np.abs(deviation).max(axis=0)
         assert col_mags[0] == np.abs(deviation).max()
 
-    def test_corner_blocks_layout(self):
-        s = np.arange(36, dtype=float).reshape(6, 6) / 36.0
-        a, b, c, d = corner_blocks(s)
-        np.testing.assert_array_equal(a, s[:3, :3])
-        np.testing.assert_array_equal(b, s[:3, 3:])
-        np.testing.assert_array_equal(c, s[3:, :3])
-        np.testing.assert_array_equal(d, s[3:, 3:])
+    def test_corner_blocks_layout(self, rng):
+        # S = [[A, B], [C, D]] with distinct blocks gives A^-1 B D^-1 C,
+        # for one matrix and for each matrix of a stack
+        blocks = [sample_invertible(rng) for _ in range(8)]
+        stack = np.array([np.block([[a, b], [c, d]]) for a, b, c, d in (blocks[:4], blocks[4:])])
+        delta = partial_determinant(stack)
+        for k, (a, b, c, d) in enumerate((blocks[:4], blocks[4:])):
+            expected = np.linalg.inv(a) @ b @ np.linalg.inv(d) @ c
+            np.testing.assert_allclose(delta[k], expected, atol=1e-9)
+            np.testing.assert_allclose(partial_determinant(stack[k]), expected, atol=1e-9)
+
+    def test_stack_equals_per_matrix(self, rng):
+        stack = np.array([consistent_matrix(rng) + 0.01 * rng.standard_normal((6, 6)) for _ in range(50)])
+        delta = partial_determinant(stack)
+        assert delta.shape == (50, 3, 3)
+        for k in range(50):
+            np.testing.assert_array_equal(delta[k], partial_determinant(stack[k]))
+        np.testing.assert_array_equal(partial_determinant(stack.reshape(5, 10, 6, 6)), delta.reshape(5, 10, 3, 3))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ShapeError):
+            partial_determinant(np.ones((4, 4)))
+        with pytest.raises(ShapeError):
+            partial_determinant(np.ones((3, 6, 4)))
+
+    def test_non_finite_corner_is_singular(self):
+        s = paper_angle_matrix()
+        s[4, 4] = np.nan
+        with pytest.raises(SingularMatrixError, match="lower-right"):
+            partial_determinant(s)
 
     def test_singular_corner_named(self):
         s = paper_angle_matrix()
@@ -167,6 +193,27 @@ class TestDeltaStatistics:
         bad[:3, :3] = 0.0
         with pytest.raises(SingularMatrixError, match="sample 2"):
             delta_statistics([good, bad, good])
+
+    def test_lowest_failing_sample_and_corner_named(self, rng):
+        good = consistent_matrix(rng)
+        upper, lower, both = good.copy(), good.copy(), good.copy()
+        upper[:3, :3] = 0.0
+        lower[3:, 3:] = 0.0
+        both[:3, :3] = both[3:, 3:] = 0.0
+        cases = [
+            ([good, lower, upper], "sample 2: near-singular lower-right corner", "lower-right corner"),
+            ([good, good, upper, lower], "sample 3: near-singular upper-left corner", "upper-left corner"),
+            ([good, both, lower], "sample 2: near-singular upper-left corner", "upper-left corner"),
+        ]
+        for samples, message, where in cases:
+            with pytest.raises(SingularMatrixError) as excinfo:
+                delta_statistics(samples)
+            assert str(excinfo.value).startswith(message + ": |det| = ")
+            assert excinfo.value.where == where
+
+    def test_rejects_a_single_matrix(self, rng):
+        with pytest.raises(ShapeError):
+            delta_statistics(consistent_matrix(rng))
 
     def test_null_experiment_statistics(self):
         plan = ExperimentPlan(noise=NoiseModel(seed=123), repetitions=10)

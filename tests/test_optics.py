@@ -15,13 +15,10 @@ from spamtomo import (
     measurement_observable,
     prepare_state,
     qwp_unitary,
-    repetition_rng,
     run_experiment,
-    sample_expectation,
     source_density,
     stokes_from_density,
     theoretical_observables,
-    true_expectation,
     true_expectation_matrix,
 )
 
@@ -129,58 +126,69 @@ class TestMeasurementObservable:
 
 
 class TestTrueExpectation:
+    """Single expectation values, read off ``true_expectation_matrix``."""
+
     def test_aligned_first_setting(self):
-        assert true_expectation(ExperimentPlan(), 1, 1) == pytest.approx(1.0, abs=1e-12)
+        assert true_expectation_matrix(ExperimentPlan())[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_turn_injection_flips_sign(self):
         plan = ExperimentPlan(errors=(ErrorInjection(1, 1, np.pi / 4),))
-        assert true_expectation(plan, 1, 1) == pytest.approx(-1.0, abs=1e-12)
+        assert true_expectation_matrix(plan)[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("offset", [np.pi / 20, np.pi / 40, 0.1234])
     def test_injection_follows_cosine_law(self, offset):
         # at setting 1 a detector half-wave-plate offset d takes the
         # expectation from 1 to cos(4 d)
         plan = ExperimentPlan(errors=(ErrorInjection(1, 1, offset),))
-        assert true_expectation(plan, 1, 1) == pytest.approx(np.cos(4 * offset), abs=1e-12)
+        assert true_expectation_matrix(plan)[0, 0] == pytest.approx(np.cos(4 * offset), abs=1e-12)
 
     def test_medium_and_small_offsets(self):
         plan20 = ExperimentPlan(errors=(ErrorInjection(1, 1, np.pi / 20),))
         plan40 = ExperimentPlan(errors=(ErrorInjection(1, 1, np.pi / 40),))
-        assert true_expectation(plan20, 1, 1) == pytest.approx(0.8090169943749475, abs=1e-12)
-        assert true_expectation(plan40, 1, 1) == pytest.approx(0.9510565162951535, abs=1e-12)
-
-    def test_bounds_error(self):
-        with pytest.raises(IndexError):
-            true_expectation(ExperimentPlan(), 7, 1)
+        assert true_expectation_matrix(plan20)[0, 0] == pytest.approx(0.8090169943749475, abs=1e-12)
+        assert true_expectation_matrix(plan40)[0, 0] == pytest.approx(0.9510565162951535, abs=1e-12)
 
     def test_injection_only_hits_matching_pair(self):
-        plan = ExperimentPlan(errors=(ErrorInjection(1, 1, np.pi / 4),))
-        clean = ExperimentPlan()
-        for a in range(1, 7):
-            for i in range(1, 7):
-                if (a, i) == (1, 1):
-                    continue
-                assert true_expectation(plan, a, i) == pytest.approx(
-                    true_expectation(clean, a, i), abs=1e-12
-                )
+        injected = true_expectation_matrix(ExperimentPlan(errors=(ErrorInjection(1, 1, np.pi / 4),)))
+        clean = true_expectation_matrix(ExperimentPlan())
+        untouched = np.ones((6, 6), dtype=bool)
+        untouched[0, 0] = False
+        np.testing.assert_allclose(injected[untouched], clean[untouched], atol=1e-12)
 
 
 class TestSampleExpectation:
-    def test_certain_outcomes_exact(self, rng):
-        noise = NoiseModel(shots_per_setting=17, seed=1)
-        assert sample_expectation(1.0, noise, rng) == 1.0
-        assert sample_expectation(-1.0, noise, rng) == -1.0
+    """Counting-noise sampling of expectation values, seen through
+    ``run_experiment`` with the angle jitter off."""
+
+    def test_certain_outcomes_exact(self):
+        plan = ExperimentPlan(
+            noise=NoiseModel(shots_per_setting=17, angle_jitter_sigma=0.0, seed=1), repetitions=5
+        )
+        truth = true_expectation_matrix(plan)
+        certain = np.abs(truth) == 1.0
+        assert truth[0, 0] == 1.0 and truth[1, 1] == -1.0
+        for matrix in run_experiment(plan):
+            np.testing.assert_array_equal(matrix[certain], truth[certain])
 
     def test_binomial_statistics(self):
-        noise = NoiseModel(shots_per_setting=10_000, seed=5)
-        gen = repetition_rng(5, 0)
-        draws = np.array([sample_expectation(0.0, noise, gen) for _ in range(1000)])
+        plan = ExperimentPlan(
+            noise=NoiseModel(shots_per_setting=10_000, angle_jitter_sigma=0.0, seed=5), repetitions=250
+        )
+        zero = np.abs(true_expectation_matrix(plan)) < 1e-12
+        draws = np.array(run_experiment(plan))[:, zero].ravel()
+        assert draws.size >= 1000
         assert abs(draws.mean()) < 3.0 / np.sqrt(10_000)
         assert draws.std() == pytest.approx(0.01, rel=0.10)
 
-    def test_analytic_mode_passthrough(self, rng):
-        noise = NoiseModel(shots_per_setting=None, seed=0)
-        assert sample_expectation(0.4321, noise, rng) == 0.4321
+    def test_analytic_mode_passthrough(self):
+        plan = ExperimentPlan(
+            errors=(ErrorInjection(1, 1, 0.4321),),
+            noise=NoiseModel(shots_per_setting=None, angle_jitter_sigma=0.0, seed=0),
+            repetitions=2,
+        )
+        truth = true_expectation_matrix(plan)
+        for matrix in run_experiment(plan):
+            np.testing.assert_array_equal(matrix, truth)
 
 
 class TestRunExperiment:
