@@ -45,6 +45,6 @@ print("-- element spread across 10 repetitions (counting noise only) --")
 shots_only = ExperimentPlan(
     noise=NoiseModel(angle_jitter_sigma=0.0, seed=7), repetitions=10
 )
-stack = np.array(run_experiment(shots_only))
+stack = run_experiment(shots_only)
 print("per-element std:\n", stack.std(axis=0, ddof=1))
 print("binomial bound 1/sqrt(shots) =", 1 / np.sqrt(10_000))

@@ -106,10 +106,12 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}", field="mode")
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "source", SourceKind(self.source))
-        if self.detection_threshold <= 0:
-            raise ConfigError(
-                f"threshold must be positive, got {self.detection_threshold}", field="threshold"
-            )
+        if not (math.isfinite(self.detection_threshold) and self.detection_threshold > 0):
+            raise ConfigError(f"threshold must be a finite number > 0, got {self.detection_threshold}", field="threshold")
+        if self.input_data_path is not None and not isinstance(self.input_data_path, str):
+            raise ConfigError(f"input_data must be a path string, got {self.input_data_path!r}", field="input_data")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}", field="output_dir")
         prep = self.prep_settings if self.prep_settings is not None else tuple(default_settings(self.scheme))
         meas = self.meas_settings if self.meas_settings is not None else tuple(default_settings(self.scheme))
         object.__setattr__(self, "prep_settings", tuple(prep))
@@ -123,6 +125,8 @@ class RunConfig:
             object.__setattr__(self, "known_povms", tuple(map(tuple, povms)))
         # Delegates length/shots/seed checks to the plan and noise types.
         self.plan()
+        if self.mode != "simulate" and self.input_data_path is None and self.repetitions < 2:
+            raise ConfigError(f"repetitions must be >= 2 for statistics on simulated data, got {self.repetitions}", field="repetitions")
 
     def noise(self):
         return NoiseModel(
@@ -258,7 +262,7 @@ def config_from_dict(raw, base=None):
         "shots_per_setting": shots,
         "angle_jitter_sigma": raw.get("angle_jitter_sigma", base.angle_jitter_sigma),
         "seed": raw.get("seed", base.seed),
-        "repetitions": raw.get("repetitions", base.repetitions),
+        "repetitions": _parse_index(raw.get("repetitions", base.repetitions), "repetitions"),
         "detection_threshold": raw.get("threshold", base.detection_threshold),
         "input_data_path": raw.get("input_data", base.input_data_path),
         "output_dir": raw.get("output_dir", base.output_dir),

@@ -8,33 +8,34 @@ Measurement files carry repeated expectation matrices as CSV blocks:
                         (blank line between repetition blocks)
 
 Values are written with ``repr`` precision so a save/load round trip is
-exact.  Reports are a single JSON document with a ``schema`` field; the
+exact.  Reports are a single standard JSON document with a ``schema``
+field (non-finite numbers as the strings "inf", "-inf" and "nan"); the
 numeric content of the statistics figures (mean, standard deviation and
 significance grids) is additionally emitted as labelled CSV for external
 plotting.
 """
 
 import json
+import math
 
 import numpy as np
 
-from .detect import validate_expectation_matrix
 from .errors import DataFormatError, SpamTomoError
 from .optics import Scheme
 
 MEASUREMENTS_SCHEMA = "spamtomo-measurements v1"
-REPORT_SCHEMA = "spamtomo-report v1"
+REPORT_SCHEMA = "spamtomo-report v2"
 PLOTGRID_SCHEMA = "spamtomo-plotgrid v1"
 
 
-def save_measurements(path, matrices, scheme):
-    """Write expectation matrices as CSV blocks, one per repetition."""
+def save_measurements(path, stack, scheme):
+    """Write a ``(repetitions, n, n)`` stack of expectation matrices as CSV
+    blocks, one per repetition."""
     scheme = Scheme(scheme)
-    matrices = [np.asarray(m, dtype=float) for m in matrices]
-    lines = [f"# {MEASUREMENTS_SCHEMA} scheme={scheme.value} blocks={len(matrices)}"]
-    for matrix in matrices:
-        for row in matrix:
-            lines.append(",".join(repr(float(v)) for v in row))
+    stack = np.asarray(stack, dtype=float)
+    lines = [f"# {MEASUREMENTS_SCHEMA} scheme={scheme.value} blocks={len(stack)}"]
+    for matrix in stack:
+        lines.extend(",".join(map(repr, row)) for row in matrix.tolist())
         lines.append("")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines))
@@ -59,18 +60,52 @@ def _parse_header(line):
     return scheme, blocks
 
 
+def _parse(lines, usecols=None):
+    """The loader's one number parser: bulk conversion and error location."""
+    return np.loadtxt(lines, dtype=float, delimiter=",", comments=None, usecols=usecols)
+
+
+def _first_malformed(blocks, size):
+    """The first wrong row count, column count or number, in file order."""
+    for b, block in enumerate(blocks, start=1):
+        if len(block) != size:
+            return DataFormatError(
+                f"block {b} has {len(block)} rows, expected {size}", block=b
+            )
+        for r, line in enumerate(block, start=1):
+            parts = line.split(",")
+            if len(parts) != size:
+                return DataFormatError(
+                    f"block {b}, row {r} has {len(parts)} columns, expected {size}",
+                    block=b, row=r,
+                )
+            for c, part in enumerate(parts, start=1):
+                try:
+                    _parse([line], usecols=c - 1)
+                except ValueError:
+                    return DataFormatError(
+                        f"block {b}, row {r}, column {c}: {part!r} is not a number",
+                        block=b, row=r, col=c,
+                    )
+    return DataFormatError("measurement data could not be parsed")
+
+
 def load_measurements(path):
-    """Read a measurement file; returns ``(matrices, scheme)``.
+    """Read a measurement file; returns ``(stack, scheme)`` with ``stack``
+    a ``(repetitions, n, n)`` float array.
 
     Entries are validated to lie within [-1, 1] (tolerance 1e-9; NaN and
     infinities fail); any malformed row or out-of-range value is reported
-    with its block, row and column (all 1-based).
+    with its block, row and column (all 1-based).  Structure and parse
+    errors are reported in file order, before any range error.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw_lines = handle.read().splitlines()
     except FileNotFoundError:
         raise DataFormatError(f"measurement file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"measurement file is not UTF-8 text: {exc}") from None
     if not raw_lines:
         raise DataFormatError("empty measurement file")
     scheme, declared_blocks = _parse_header(raw_lines[0])
@@ -90,45 +125,32 @@ def load_measurements(path):
             f"header declares {declared_blocks} blocks but file contains {len(blocks)}"
         )
 
-    matrices = []
-    for b, block in enumerate(blocks, start=1):
-        if len(block) != size:
-            raise DataFormatError(
-                f"block {b} has {len(block)} rows, expected {size}", block=b
-            )
-        rows = []
-        for r, line in enumerate(block, start=1):
-            parts = line.split(",")
-            if len(parts) != size:
-                raise DataFormatError(
-                    f"block {b}, row {r} has {len(parts)} columns, expected {size}",
-                    block=b, row=r,
-                )
-            values = []
-            for c, part in enumerate(parts, start=1):
-                try:
-                    value = float(part)
-                except ValueError:
-                    raise DataFormatError(
-                        f"block {b}, row {r}, column {c}: {part!r} is not a number",
-                        block=b, row=r, col=c,
-                    ) from None
-                if not abs(value) <= 1.0 + 1e-9:
-                    raise DataFormatError(
-                        f"block {b}, row {r}, column {c}: value {value} outside [-1, 1]",
-                        block=b, row=r, col=c,
-                    )
-                values.append(value)
-            rows.append(values)
-        matrices.append(validate_expectation_matrix(np.array(rows)))
-    return matrices, scheme
+    lines = [line for block in blocks for line in block]
+    try:
+        # with every block `size` rows long, the reshape fails exactly
+        # when some row does not have `size` columns
+        stack = _parse(lines).reshape(len(blocks), size, size) if lines else np.empty((0, size, size))
+    except ValueError:
+        stack = None
+    if stack is None or any(len(block) != size for block in blocks):
+        raise _first_malformed(blocks, size)
+    bad = ~(np.abs(stack) <= 1.0 + 1e-9)
+    if bad.any():
+        b, r, c = np.argwhere(bad)[0]
+        raise DataFormatError(
+            f"block {b + 1}, row {r + 1}, column {c + 1}: value {stack[b, r, c]} outside [-1, 1]",
+            block=b + 1, row=r + 1, col=c + 1,
+        )
+    return stack, scheme
 
 
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonify(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)  # "inf", "-inf" or "nan"
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -137,9 +159,10 @@ def _jsonify(obj):
 
 
 def write_report(path, report_dict):
-    """Serialize a report dictionary as canonical JSON (sorted keys)."""
+    """Serialize a report dictionary as canonical standard JSON (sorted
+    keys; non-finite numbers as the strings "inf", "-inf" and "nan")."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_jsonify(report_dict), handle, sort_keys=True, indent=2)
+        json.dump(_jsonify(report_dict), handle, sort_keys=True, indent=2, allow_nan=False)
         handle.write("\n")
 
 

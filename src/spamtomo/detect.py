@@ -31,16 +31,19 @@ _CORNERS = ("upper-left corner", "lower-right corner")
 
 
 def validate_expectation_matrix(values, atol=1e-9):
-    """Check shape (6x6 or 4x4) and that every entry is an expectation
-    value in [-1, 1] up to ``atol``; NaN fails the range test."""
+    """Check shape (6x6 or 4x4, or a stack of either) and that every entry
+    is an expectation value in [-1, 1] up to ``atol``; NaN fails the range
+    test.  In a stack the error names the sample (``sample k:``, 1-based)."""
     values = np.asarray(values, dtype=float)
-    if values.shape not in ((6, 6), (4, 4)):
+    if values.shape[-2:] not in ((6, 6), (4, 4)):
         raise ShapeError(f"expectation matrix must be 6x6 or 4x4, got shape {values.shape}")
     bad = ~(np.abs(values) <= 1.0 + atol)
     if bad.any():
-        r, c = np.argwhere(bad)[0]
+        index = tuple(np.argwhere(bad)[0])
+        *samples, r, c = index
+        prefix = "".join(f"sample {k + 1}: " for k in samples)
         raise ShapeError(
-            f"entry ({r + 1}, {c + 1}) = {values[r, c]} outside [-1, 1]"
+            f"{prefix}entry ({r + 1}, {c + 1}) = {values[index]} outside [-1, 1]"
         )
     return values
 
@@ -143,8 +146,8 @@ class DetectionReport:
 def detect(stats, threshold=3.0, scheme=Scheme.TWO_N):
     """Flag every element whose significance exceeds ``threshold`` (in
     units of the repetition standard deviation)."""
-    if threshold <= 0:
-        raise ShapeError(f"threshold must be positive, got {threshold}")
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ShapeError(f"threshold must be finite and positive, got {threshold}")
     flagged = [
         (r + 1, c + 1, float(stats.significance[r, c]))
         for r in range(3)

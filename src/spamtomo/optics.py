@@ -210,14 +210,15 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.shots_per_setting is not None and self.shots_per_setting < 1:
+        # the binomial sampler takes at most 2**63 - 1 trials
+        if self.shots_per_setting is not None and not 1 <= self.shots_per_setting < 2**63:
             raise ConfigError(
-                f"shots_per_setting must be >= 1 (or None for analytic mode), got {self.shots_per_setting}",
+                f"shots_per_setting must be in [1, 2**63 - 1] (or None for analytic mode), got {self.shots_per_setting}",
                 field="shots",
             )
-        if not (math.isfinite(self.angle_jitter_sigma) and self.angle_jitter_sigma >= 0):
+        if isinstance(self.angle_jitter_sigma, bool) or not (math.isfinite(self.angle_jitter_sigma) and self.angle_jitter_sigma >= 0):
             raise ConfigError(
-                f"angle_jitter_sigma must be >= 0, got {self.angle_jitter_sigma}",
+                f"angle_jitter_sigma must be a number >= 0, got {self.angle_jitter_sigma!r}",
                 field="angle_jitter_sigma",
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
@@ -315,37 +316,33 @@ def theoretical_observables(plan):
     return np.array([measurement_observable(s) for s in plan.meas_settings]).T
 
 
-def _sample_matrix(true_values, noise, rng):
-    if noise.shots_per_setting is None:
-        return true_values.copy()
-    p = np.clip((1.0 + true_values) / 2.0, 0.0, 1.0)
-    counts = rng.binomial(noise.shots_per_setting, p)
-    return 2.0 * counts / noise.shots_per_setting - 1.0
-
-
 def run_experiment(plan):
     """Simulate the repeated measurement of the expectation matrix.
 
     For each repetition: perturb every plate angle by its jitter draw,
     compute the noiseless matrix (with injected errors), then sample each
-    element with counting noise.  Returns one MxN array per repetition.
-    Jitter draws come first in each repetition's stream (preparation
-    plates in order, quarter before half, then measurement plates), then
-    the counting draws in row-major element order.
+    element with counting noise.  Returns an ``(R, M, N)`` array, one MxN
+    matrix per repetition.  Jitter draws come first in each repetition's
+    stream (preparation plates in order, quarter before half, then
+    measurement plates), then the counting draws in row-major element
+    order.
     """
     m, n = len(plan.prep_settings), len(plan.meas_settings)
     prep_q, prep_h = _plate_angles(plan.prep_settings)
     meas_q, meas_h = _plate_angles(plan.meas_settings)
-    samples = []
+    shots = plan.noise.shots_per_setting
+    samples = np.empty((plan.repetitions, m, n))
     for rep in range(plan.repetitions):
         rng = repetition_rng(plan.noise.seed, rep)
         eps = rng.standard_normal(2 * (m + n)) * plan.noise.angle_jitter_sigma
-        true_values = _expectation_matrix(
+        samples[rep] = _expectation_matrix(
             plan,
             prep_q + eps[0 : 2 * m : 2],
             prep_h + eps[1 : 2 * m : 2],
             meas_q + eps[2 * m :: 2],
             meas_h + eps[2 * m + 1 :: 2],
         )
-        samples.append(_sample_matrix(true_values, plan.noise, rng))
+        if shots is not None:
+            p = np.clip((1.0 + samples[rep]) / 2.0, 0.0, 1.0)
+            samples[rep] = 2.0 * rng.binomial(shots, p) / shots - 1.0
     return samples

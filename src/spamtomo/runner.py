@@ -57,7 +57,7 @@ class RunReport:
     """Everything a run produced, ready for serialization."""
 
     config: RunConfig
-    samples: list
+    samples: np.ndarray
     stats: object = None
     detection: object = None
     reconstruction: object = None
@@ -74,7 +74,7 @@ class RunReport:
             "scheme": self.config.scheme.value,
             "threshold": self.config.detection_threshold,
             "seed": self.config.seed,
-            "samples": [np.asarray(m).tolist() for m in self.samples],
+            "samples": self.samples.tolist(),
             "exit_code": self.exit_code,
         }
         if self.stats is not None:
@@ -115,17 +115,17 @@ class RunReport:
 
 
 def _obtain_samples(config, plan):
-    """Measured matrices for the run: loaded from file when a data path is
-    configured, simulated from the plan otherwise."""
+    """Measured ``(R, n, n)`` stack for the run: loaded from file when a
+    data path is configured, simulated from the plan otherwise."""
     if config.input_data_path is not None:
-        matrices, scheme = load_measurements(config.input_data_path)
+        stack, scheme = load_measurements(config.input_data_path)
         if scheme != config.scheme:
             raise ConfigError(
                 f"data file uses scheme {scheme.value} but the configuration says "
                 f"{config.scheme.value}",
                 field="scheme",
             )
-        return [validate_expectation_matrix(m) for m in matrices]
+        return validate_expectation_matrix(stack)
     return run_experiment(plan)
 
 
@@ -173,7 +173,7 @@ def run(config):
     report = RunReport(config=config, samples=samples)
 
     if config.mode != "simulate":
-        embedded = np.array(samples)
+        embedded = samples
         if config.scheme is Scheme.N_PLUS_ONE:
             embedded = embed_n_plus_1(embedded)
         stats = delta_statistics(embedded)

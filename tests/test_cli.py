@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from spamtomo.cli import main
 
@@ -87,3 +88,14 @@ class TestCli:
         config = write_config(tmp_path, {"state": "circular"})
         assert main(["full", "--config", config]) == 1
         assert capsys.readouterr().err.startswith("error: state must be one of")
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exit_code(self, tmp_path, capsys, threshold):
+        # a NaN or infinite threshold would flag nothing: a false "clean" verdict
+        config = write_config(
+            tmp_path,
+            {"seed": 42, "error_injections": [{"prep": 1, "setting": 1, "hwp_offset": "pi/4"}]},
+        )
+        code = main(["analyze", "--config", config, "--threshold", threshold, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: threshold must be a finite number")

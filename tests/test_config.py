@@ -127,6 +127,18 @@ class TestLoadConfig:
             ({"error_injections": [{"prep": "x", "setting": 1, "hwp_offset": 0.1}]}, "error_injections[0].prep"),
             ({"error_injections": [{"prep": 1.7, "setting": 1, "hwp_offset": 0.1}]}, "error_injections[0].prep"),
             ({"error_injections": [{"prep": 1, "setting": True, "hwp_offset": 0.1}]}, "error_injections[0].setting"),
+            ({"repetitions": 2.5}, "repetitions"),
+            ({"repetitions": True}, "repetitions"),
+            ({"shots": 2**63}, "shots"),
+            ({"shots": 100000000000000000000}, "shots"),
+            ({"angle_jitter_sigma": True}, "angle_jitter_sigma"),
+            ({"input_data": 5}, "input_data"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"threshold": float("nan")}, "threshold"),
+            ({"threshold": float("inf")}, "threshold"),
+            # a simulated analysis needs two repetitions for its statistics
+            ({"repetitions": 1}, "repetitions"),
+            ({"mode": "analyze", "repetitions": 1}, "repetitions"),
         ],
     )
     def test_rejects_unparseable_field(self, tmp_path, payload, field):
@@ -142,6 +154,14 @@ class TestLoadConfig:
 
 
 class TestRunConfig:
+    def test_single_repetition_allowed_without_statistics(self, tmp_path):
+        assert RunConfig(mode="simulate", repetitions=1).repetitions == 1
+        data = str(tmp_path / "m.csv")
+        assert RunConfig(mode="analyze", repetitions=1, input_data_path=data).repetitions == 1
+
+    def test_largest_shot_budget_accepted(self):
+        assert RunConfig(shots_per_setting=2**63 - 1).shots_per_setting == 2**63 - 1
+
     def test_plan_round_trip(self):
         config = RunConfig(scheme=Scheme.N_PLUS_ONE, seed=9)
         plan = config.plan()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,21 @@ class TestMeasurementsRoundTrip:
         loaded, scheme = load_measurements(path)
         assert scheme is Scheme.N_PLUS_ONE
         assert all(m.shape == (4, 4) for m in loaded)
+
+    def test_loads_one_stack(self, tmp_path):
+        path = str(tmp_path / "m.csv")
+        blocks = simulated_blocks(Scheme.N_PLUS_ONE, repetitions=3)
+        save_measurements(path, blocks, Scheme.N_PLUS_ONE)
+        loaded, _ = load_measurements(path)
+        assert isinstance(loaded, np.ndarray)
+        assert loaded.shape == (3, 4, 4) and loaded.dtype == float
+        np.testing.assert_array_equal(loaded, blocks)
+
+    def test_zero_blocks_give_empty_stack(self, tmp_path):
+        path = str(tmp_path / "m.csv")
+        save_measurements(path, np.empty((0, 6, 6)), Scheme.TWO_N)
+        loaded, scheme = load_measurements(path)
+        assert scheme is Scheme.TWO_N and loaded.shape == (0, 6, 6)
 
     def test_reanalysis_identical(self, tmp_path):
         # saving at repr precision keeps the statistics bit-identical
@@ -109,6 +126,45 @@ class TestMeasurementErrors:
         with pytest.raises(DataFormatError, match="not a number"):
             load_measurements(self.write(tmp_path, text))
 
+    @pytest.mark.parametrize("entry,col", [("1_0", 2), ("", 3), ("#", 1), ("0.5 0.5", 4)])
+    def test_unparseable_entry_located(self, tmp_path, entry, col):
+        rows = ["0.0,0.0,0.0,0.0"] * 4
+        values = rows[2].split(",")
+        values[col - 1] = entry
+        rows[2] = ",".join(values)
+        text = "# spamtomo-measurements v1 scheme=n+1 blocks=2\n" + "\n".join(["0.0,0.0,0.0,0.0"] * 4) + "\n\n" + "\n".join(rows) + "\n"
+        with pytest.raises(DataFormatError, match="not a number") as excinfo:
+            load_measurements(self.write(tmp_path, text))
+        assert (excinfo.value.block, excinfo.value.row, excinfo.value.col) == (2, 3, col)
+
+    def test_malformed_lines_reported_in_file_order(self, tmp_path):
+        # an unparseable entry in block 1 comes before a short block 2, and
+        # a long row in block 1 before both
+        block_1 = ["0.0,0.0,0.0,0.0", "0.0,zero,0.0,0.0", "0.0,0.0,0.0,0.0", "0.0,0.0,0.0,0.0"]
+        block_2 = ["0.0,0.0,0.0,0.0"] * 3
+        for rows, expected in ((block_1, (1, 2, 2)), (["0.0,0.0,0.0,0.0,0.0"] + block_1[1:], (1, 1, None))):
+            text = "# spamtomo-measurements v1 scheme=n+1 blocks=2\n" + "\n".join(rows) + "\n\n" + "\n".join(block_2) + "\n"
+            with pytest.raises(DataFormatError) as excinfo:
+                load_measurements(self.write(tmp_path, text))
+            assert (excinfo.value.block, excinfo.value.row, excinfo.value.col) == expected
+        text = "# spamtomo-measurements v1 scheme=n+1 blocks=2\n" + "\n".join(block_2) + "\n\n" + "\n".join(block_1) + "\n"
+        with pytest.raises(DataFormatError, match="block 1 has 3 rows"):
+            load_measurements(self.write(tmp_path, text))
+
+    def test_parse_checked_before_range(self, tmp_path):
+        block_1 = ["0.0,0.0,7.0,0.0"] + ["0.0,0.0,0.0,0.0"] * 3
+        block_2 = ["0.0,0.0,0.0,0.0"] * 3 + ["0.0,zero,0.0,0.0"]
+        text = "# spamtomo-measurements v1 scheme=n+1 blocks=2\n" + "\n".join(block_1) + "\n\n" + "\n".join(block_2) + "\n"
+        with pytest.raises(DataFormatError, match="not a number") as excinfo:
+            load_measurements(self.write(tmp_path, text))
+        assert (excinfo.value.block, excinfo.value.row, excinfo.value.col) == (2, 4, 2)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"# spamtomo-measurements v1 scheme=n+1 blocks=1\n\xff\xfe\n")
+        with pytest.raises(DataFormatError, match="UTF-8"):
+            load_measurements(str(path))
+
     def test_missing_header(self, tmp_path):
         with pytest.raises(DataFormatError, match="header"):
             load_measurements(self.write(tmp_path, "0.0,0.0,0.0,0.0\n"))
@@ -136,7 +192,7 @@ class TestReports:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "report.json")
         payload = {
-            "schema": "spamtomo-report v1",
+            "schema": "spamtomo-report v2",
             "scheme": "2n",
             "threshold": 3.0,
             "delta_stats": {
@@ -151,6 +207,31 @@ class TestReports:
         assert loaded["scheme"] == "2n"
         assert loaded["delta_stats"]["repetitions"] == 10
         assert loaded["delta_stats"]["mean"] == [[0.0] * 3] * 3
+
+    def test_non_finite_numbers_written_as_strings(self, tmp_path):
+        path = str(tmp_path / "report.json")
+        significance = np.array([[np.inf, 1.0, 0.0], [0.0, -np.inf, 0.0], [0.0, 0.0, np.nan]])
+        payload = {
+            "scheme": "2n",
+            "threshold": 3.0,
+            "delta_stats": {"mean": np.zeros((3, 3)), "std": np.zeros((3, 3)),
+                            "significance": significance, "repetitions": 2},
+        }
+        write_report(path, payload)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        loaded = json.loads(open(path).read(), parse_constant=reject)
+        assert loaded["delta_stats"]["significance"][0][:2] == ["inf", 1.0]
+        assert loaded["delta_stats"]["significance"][1][1] == "-inf"
+        assert loaded["delta_stats"]["significance"][2][2] == "nan"
+        np.testing.assert_array_equal(
+            np.asarray(loaded["delta_stats"]["significance"], dtype=float), significance
+        )
+        grids = str(tmp_path / "grids.csv")
+        emit_plot_data(read_report(path), grids)
+        assert "inf,1.0,0.0" in open(grids).read()
 
     def test_plot_grids(self, tmp_path):
         path = str(tmp_path / "grids.csv")

@@ -53,6 +53,22 @@ class TestValidation:
         with pytest.raises(ShapeError, match=r"\(3, 5\)"):
             validate_expectation_matrix(bad)
 
+    def test_accepts_stacks(self):
+        for shape in ((3, 6, 6), (2, 4, 4), (0, 6, 6), (2, 3, 4, 4)):
+            assert validate_expectation_matrix(np.zeros(shape)).shape == shape
+
+    def test_rejects_wrong_stack_shape(self):
+        for shape in ((3, 5, 5), (3, 6, 4), (6,)):
+            with pytest.raises(ShapeError):
+                validate_expectation_matrix(np.zeros(shape))
+
+    def test_stack_error_names_sample(self):
+        bad = np.zeros((4, 4, 4))
+        bad[2, 1, 3] = np.nan
+        bad[3, 0, 0] = 2.0
+        with pytest.raises(ShapeError, match=r"^sample 3: entry \(2, 4\) = nan outside"):
+            validate_expectation_matrix(bad)
+
 
 class TestEmbedding:
     def test_all_ones(self):
@@ -255,6 +271,11 @@ class TestDetect:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ShapeError):
             detect(make_stats(np.zeros((3, 3))), threshold=0.0)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_threshold(self, threshold):
+        with pytest.raises(ShapeError, match="threshold"):
+            detect(make_stats(np.zeros((3, 3))), threshold=threshold)
 
 
 class TestLocalize:

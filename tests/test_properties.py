@@ -1,4 +1,5 @@
-"""Property tests of the consistency identity on random stacks."""
+"""Property tests: the consistency identity and its symmetries on random
+stacks, and the measurement-file loader on random and fuzzed input."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from spamtomo import apply_gauge, partial_determinant  # noqa: E402
+from spamtomo import (  # noqa: E402
+    DataFormatError,
+    Scheme,
+    apply_gauge,
+    delta_statistics,
+    detect,
+    load_measurements,
+    partial_determinant,
+    save_measurements,
+)
 from conftest import sample_invertible, sample_stokes_ball  # noqa: E402
 
 
@@ -46,3 +57,122 @@ class TestProperties:
         # roundoff grows with |Delta| when noise leaves a corner ill-conditioned
         scale = np.maximum(np.abs(delta).max(axis=(1, 2), keepdims=True), 1.0)
         assert np.all(np.abs(partial_determinant(np.array(gauged)) - delta) <= 1e-7 * scale)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(3)), block=st.sampled_from(range(3)))
+    def test_partial_determinant_ignores_order_within_corners(self, seed, perm, block):
+        # reordering preparations 1-3, preparations 4-6 or settings 4-6
+        # cancels inside A^-1 B, D^-1 C or B D^-1
+        stack = noisy_stack(np.random.default_rng(seed), 5)
+        order = list(range(6))
+        offset = 0 if block == 0 else 3
+        order[offset:offset + 3] = [offset + k for k in perm]
+        permuted = stack[:, :, order] if block == 2 else stack[:, order, :]
+        delta = partial_determinant(stack)
+        scale = np.maximum(np.abs(delta).max(axis=(1, 2), keepdims=True), 1.0)
+        assert np.all(np.abs(partial_determinant(permuted) - delta) <= 1e-7 * scale)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(3)))
+    def test_setting_order_in_first_corner_permutes_delta(self, seed, perm):
+        # S[:, perm] = S Q on columns 1-3 maps Delta to Q^T Delta Q
+        stack = noisy_stack(np.random.default_rng(seed), 5)
+        order = list(perm) + [3, 4, 5]
+        q = np.eye(3)[:, perm]
+        delta = partial_determinant(stack)
+        scale = np.maximum(np.abs(delta).max(axis=(1, 2), keepdims=True), 1.0)
+        expected = q.T @ delta @ q
+        assert np.all(np.abs(partial_determinant(stack[:, :, order]) - expected) <= 1e-7 * scale)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(3)), row=st.integers(0, 2),
+           col=st.integers(0, 2))
+    def test_detection_flags_permute_with_settings(self, seed, perm, row, col):
+        rng = np.random.default_rng(seed)
+        stack = noisy_stack(rng, 10, noise=0.005)
+        stack[:, row, col] = np.clip(stack[:, row, col] + 0.3, -1.0, 1.0)
+        flags = {(r, c) for r, c, _ in detect(delta_statistics(stack)).flagged_elements}
+        permuted = stack[:, :, list(perm) + [3, 4, 5]]
+        moved = {
+            (perm[r - 1] + 1, perm[c - 1] + 1)
+            for r, c, _ in detect(delta_statistics(permuted)).flagged_elements
+        }
+        assert moved == flags
+
+
+def noisy_stack(rng, count, noise=0.05):
+    """``count`` factorized 6x6 matrices plus independent Gaussian noise."""
+    return np.array([p @ w + noise * rng.standard_normal((6, 6)) for p, w in full_rank_factors(rng, count)])
+
+
+ENTRY = st.sampled_from([-0.0, 0.0, -1.0, 1.0]) | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheme=st.sampled_from(list(Scheme)), data=st.data())
+def test_measurements_round_trip_bit_for_bit(tmp_path_factory, scheme, data):
+    n = scheme.n_settings
+    stack = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(0, 4)), n, n), elements=ENTRY))
+    path = str(tmp_path_factory.mktemp("round_trip") / "m.csv")
+    save_measurements(path, stack, scheme)
+    loaded, loaded_scheme = load_measurements(path)
+    assert loaded_scheme is scheme
+    assert loaded.shape == stack.shape and loaded.dtype == np.float64
+    assert np.array_equal(loaded.view(np.uint64), stack.view(np.uint64))
+
+
+TOKENS = st.sampled_from(["nan", "1_0", "#", ",", ",,", "", " ", "x", "-inf", "1e999", "2.0", "0x1",
+                          "\u0661", "1.0.0", "\n", "\r", "\n\n", "+1", "-0", ".5"]) | st.text(
+    st.characters(codec="utf-8"), max_size=3)
+MUTATION = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 99)),
+    st.tuples(st.just("duplicate"), st.integers(0, 99)),
+    st.tuples(st.just("replace"), st.integers(0, 99), st.integers(0, 9), TOKENS),
+    st.tuples(st.just("insert"), st.integers(0, 99), st.integers(0, 200), TOKENS),
+)
+
+
+def mutate(lines, mutation):
+    kind, i = mutation[0], mutation[1] % len(lines)
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "replace":
+        fields = lines[i].split(",")
+        fields[mutation[2] % len(fields)] = mutation[3]
+        lines[i] = ",".join(fields)
+    else:
+        pos = mutation[2] % (len(lines[i]) + 1)
+        lines[i] = lines[i][:pos] + mutation[3] + lines[i][pos:]
+
+
+def reference_stack(text, n):
+    """Per-entry ``float`` parse of an accepted file's data lines."""
+    rows = [line for line in text.splitlines()[1:] if line.strip()]
+    return np.array([[float(v) for v in row.split(",")] for row in rows]).reshape(-1, n, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheme=st.sampled_from(list(Scheme)), reps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       mutations=st.lists(MUTATION, min_size=1, max_size=4))
+def test_fuzzed_measurement_text_loads_or_is_rejected(tmp_path_factory, scheme, reps, seed, mutations):
+    n = scheme.n_settings
+    path = tmp_path_factory.mktemp("fuzz") / "m.csv"
+    save_measurements(str(path), np.random.default_rng(seed).uniform(-1, 1, (reps, n, n)), scheme)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    for mutation in mutations:
+        if lines:
+            mutate(lines, mutation)
+    text = "\n".join(lines)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    try:
+        stack, loaded_scheme = load_measurements(str(path))
+    except DataFormatError as exc:
+        if "not a number" in str(exc) or "outside" in str(exc):
+            assert None not in (exc.block, exc.row, exc.col)
+        return
+    assert stack.shape[1:] == (loaded_scheme.n_settings,) * 2
+    assert np.all(np.abs(stack) <= 1.0 + 1e-9)
+    np.testing.assert_array_equal(stack, reference_stack(text, loaded_scheme.n_settings))

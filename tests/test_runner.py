@@ -11,7 +11,9 @@ from spamtomo import (
     EXIT_DETECTED,
     RunConfig,
     Scheme,
+    emit_plot_data,
     load_measurements,
+    read_report,
     run,
     save_measurements,
     write_outputs,
@@ -45,6 +47,15 @@ class TestRun:
         config = null_config(error_injections=(ErrorInjection(1, 1, np.pi / 40),))
         report = run(config)
         assert report.exit_code == EXIT_CLEAN
+
+    def test_samples_are_one_stack(self, tmp_path):
+        report = run(null_config(mode="simulate", repetitions=3))
+        assert isinstance(report.samples, np.ndarray) and report.samples.shape == (3, 6, 6)
+        data_path = str(tmp_path / "m.csv")
+        save_measurements(data_path, report.samples, Scheme.TWO_N)
+        loaded = run(null_config(mode="simulate", input_data_path=data_path))
+        assert isinstance(loaded.samples, np.ndarray)
+        np.testing.assert_array_equal(loaded.samples, report.samples)
 
     def test_simulate_mode_skips_analysis(self):
         report = run(null_config(mode="simulate"))
@@ -89,7 +100,7 @@ class TestOutputs:
         for kind in ("report", "measurements", "plot_grids", "timing"):
             assert os.path.exists(paths[kind]), kind
         payload = json.load(open(paths["report"]))
-        assert payload["schema"] == "spamtomo-report v1"
+        assert payload["schema"] == "spamtomo-report v2"
         assert payload["exit_code"] == EXIT_CLEAN
         assert payload["detection"]["detected"] is False
         assert len(payload["samples"]) == 10
@@ -122,6 +133,28 @@ class TestOutputs:
         start = lines.index("# grid=mean") + 1
         mean = np.array([[float(v) for v in lines[start + r].split(",")] for r in range(3)])
         assert np.unravel_index(np.abs(mean).argmax(), (3, 3)) == (1, 1)
+
+    def test_infinite_significance_report_is_standard_json(self, tmp_path):
+        # without counting noise or drift the injected element deviates
+        # identically in every repetition: zero spread, infinite significance
+        config = null_config(
+            shots_per_setting=None,
+            angle_jitter_sigma=0.0,
+            error_injections=(ErrorInjection(1, 1, np.pi / 4),),
+            output_dir=str(tmp_path),
+        )
+        report = run(config)
+        assert np.isinf(report.stats.significance).any()
+        paths = write_outputs(report)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(open(paths["report"]).read(), parse_constant=reject)
+        assert payload["schema"] == "spamtomo-report v2"
+        assert "inf" in [v for row in payload["delta_stats"]["significance"] for v in row]
+        emit_plot_data(read_report(paths["report"]), str(tmp_path / "again.csv"))
+        assert open(tmp_path / "again.csv").read() == open(paths["plot_grids"]).read()
 
     def test_detected_run_report_carries_candidates(self, tmp_path):
         config = null_config(
