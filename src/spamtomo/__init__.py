@@ -39,10 +39,8 @@ from .optics import (
     SourceKind,
     WavePlateSetting,
     default_settings,
-    hwp_unitary,
     measurement_observable,
     prepare_state,
-    qwp_unitary,
     repetition_rng,
     run_experiment,
     source_density,

@@ -14,9 +14,8 @@ failure.
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .config import RunConfig, load_config
+from .config import config_from_dict, load_config
 from .errors import SpamTomoError
 from .optics import Scheme
 from .runner import EXIT_ERROR, run, write_outputs
@@ -45,21 +44,21 @@ def build_parser():
 
 
 def _configure(args):
-    config = load_config(args.config) if args.config else RunConfig()
+    """The run configuration: the config file (if any) with the subcommand
+    and flags merged over its keys, validated once."""
     overrides = {"mode": args.mode}
-    if args.data is not None:
-        overrides["input_data_path"] = args.data
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threshold is not None:
-        overrides["detection_threshold"] = args.threshold
-    if args.scheme is not None and Scheme(args.scheme) != config.scheme:
-        # A scheme change invalidates explicitly configured angle lists of
-        # the other length; fall back to the defaults for the new scheme.
-        overrides.update({"scheme": Scheme(args.scheme), "prep_settings": None, "meas_settings": None})
-    return replace(config, **overrides)
+    for key, value in (
+        ("input_data", args.data),
+        ("output_dir", args.out),
+        ("seed", args.seed),
+        ("threshold", args.threshold),
+        ("scheme", args.scheme),
+    ):
+        if value is not None:
+            overrides[key] = value
+    if args.config:
+        return load_config(args.config, overrides)
+    return config_from_dict(overrides)
 
 
 def main(argv=None):

@@ -29,7 +29,7 @@ or ``"-3*pi/8"``, avoiding rounding ambiguity for the common fractions.
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .optics import (
     Scheme,
     SourceKind,
     WavePlateSetting,
+    _is_real,
     default_settings,
 )
 
@@ -82,6 +83,17 @@ def parse_angle(value, field_name="angle"):
     raise ConfigError(f"{field_name} must be a number or string, got {type(value).__name__}", field=field_name)
 
 
+def _parse_povms(raw):
+    """Three observable 3-vectors of finite numbers, as a tuple of tuples."""
+    try:
+        povms = np.asarray(raw, dtype=object)
+    except ValueError:  # nested arrays of unequal shapes
+        povms = np.empty(0, dtype=object)
+    if povms.shape != (3, 3) or not all(_is_real(v) and math.isfinite(v) for v in povms.flat):
+        raise ConfigError(f"known_povms must be three 3-vectors of finite numbers, got {raw!r}", field="known_povms")
+    return tuple(tuple(float(v) for v in row) for row in povms)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A fully validated run configuration."""
@@ -106,8 +118,8 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}", field="mode")
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "source", SourceKind(self.source))
-        if not (math.isfinite(self.detection_threshold) and self.detection_threshold > 0):
-            raise ConfigError(f"threshold must be a finite number > 0, got {self.detection_threshold}", field="threshold")
+        if not (_is_real(self.detection_threshold) and math.isfinite(self.detection_threshold) and self.detection_threshold > 0):
+            raise ConfigError(f"threshold must be a finite number > 0, got {self.detection_threshold!r}", field="threshold")
         if self.input_data_path is not None and not isinstance(self.input_data_path, str):
             raise ConfigError(f"input_data must be a path string, got {self.input_data_path!r}", field="input_data")
         if not isinstance(self.output_dir, str):
@@ -117,12 +129,7 @@ class RunConfig:
         object.__setattr__(self, "prep_settings", tuple(prep))
         object.__setattr__(self, "meas_settings", tuple(meas))
         if self.known_povms is not None:
-            povms = np.asarray(self.known_povms, dtype=float)
-            if povms.shape != (3, 3):
-                raise ConfigError(
-                    f"known_povms must be three 3-vectors, got shape {povms.shape}", field="known_povms"
-                )
-            object.__setattr__(self, "known_povms", tuple(map(tuple, povms)))
+            object.__setattr__(self, "known_povms", _parse_povms(self.known_povms))
         # Delegates length/shots/seed checks to the plan and noise types.
         self.plan()
         if self.mode != "simulate" and self.input_data_path is None and self.repetitions < 2:
@@ -262,7 +269,7 @@ def config_from_dict(raw, base=None):
         "shots_per_setting": shots,
         "angle_jitter_sigma": raw.get("angle_jitter_sigma", base.angle_jitter_sigma),
         "seed": raw.get("seed", base.seed),
-        "repetitions": _parse_index(raw.get("repetitions", base.repetitions), "repetitions"),
+        "repetitions": raw.get("repetitions", base.repetitions),
         "detection_threshold": raw.get("threshold", base.detection_threshold),
         "input_data_path": raw.get("input_data", base.input_data_path),
         "output_dir": raw.get("output_dir", base.output_dir),
@@ -292,8 +299,15 @@ def config_from_dict(raw, base=None):
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path):
-    """Load and validate a JSON run configuration from ``path``."""
+def load_config(path, overrides=None):
+    """Load and validate a JSON run configuration from ``path``.
+
+    ``overrides`` maps configuration keys to values that replace the
+    file's before the single validation, so a file is checked in the mode
+    and scheme it runs in.  An override that changes the scheme drops the
+    file's angle lists, which fit the other scheme; the new scheme's
+    defaults apply.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -301,4 +315,10 @@ def load_config(path):
         raise ConfigError(f"configuration file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if overrides and isinstance(raw, dict):
+        merged = {**raw, **overrides}
+        if merged.get("scheme", RunConfig.scheme) != raw.get("scheme", RunConfig.scheme):
+            merged.pop("prep_angles", None)
+            merged.pop("meas_angles", None)
+        raw = merged
     return config_from_dict(raw)

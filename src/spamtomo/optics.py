@@ -6,15 +6,17 @@ a quarter-wave plate, and analyses it with a quarter-wave plate, a
 half-wave plate and a polarizing beam splitter whose transmitted port
 counts as the positive outcome.
 
-Jones matrices act on the ``(H, V)`` amplitudes.  In the conventions of
-:mod:`spamtomo.qubit` this gives, for plate angles measured from the
-horizontal:
+The plates act on Stokes vectors as rotations of the Poincare sphere.
+For a plate whose fast axis sits at ``t`` from the horizontal, the axis
+is ``n = (sin 2t, 0, cos 2t)`` in the Pauli basis of :mod:`spamtomo.qubit`;
+a half-wave plate rotates by pi about ``n`` and a quarter-wave plate by
+pi/2.  This gives:
 
-* preparation unitary  ``U = qwp(theta_q) @ hwp(theta_h)``  (the photon
-  meets the half-wave plate first),
-* measurement observable ``U^dag sigma_3 U`` with
-  ``U = hwp(theta_h) @ qwp(theta_q)``  (quarter-wave plate first, then the
-  half-wave plate, then the splitter).
+* preparation Stokes row ``Q(theta_q) H(theta_h) s_0`` (the photon meets
+  the half-wave plate first; ``s_0`` is the source's Stokes vector),
+* measurement observable ``Q(theta_q)^T H(theta_h) z`` (quarter-wave plate
+  first, then the half-wave plate, then the splitter, whose observable
+  ``sigma_3`` is pulled back through the plates).
 
 With these conventions the first default setting analyses H/V, the second
 the circular basis, and the third the diagonal basis.
@@ -29,12 +31,13 @@ order and are reproducible bit for bit.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonPhysicalError, ShapeError
-from .qubit import IDENTITY_2, PAULI, SIGMA_3
+from .errors import ConfigError, NonPhysicalError
+from .qubit import density_from_stokes
 
 # Default wave-plate rotation angles for the six settings, chosen to
 # sample the state and observable spaces (H/V, circular, diagonal, and
@@ -50,6 +53,11 @@ DEFAULT_SHOTS = 10_000
 DEFAULT_ANGLE_JITTER = 0.0113
 
 DEFAULT_REPETITIONS = 10
+
+
+def _is_real(value):
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class Scheme(str, enum.Enum):
@@ -76,12 +84,16 @@ class SourceKind(str, enum.Enum):
     MIXED = "mixed"
 
 
+# Stokes vector the source emits: pure horizontal, or a 3:1 H/V mixture.
+_SOURCE_STOKES = {SourceKind.PURE_H: (0.0, 0.0, 1.0), SourceKind.MIXED: (0.0, 0.0, 0.5)}
+
+# The splitter's observable: its transmitted (horizontal) port is +1.
+_Z = (0.0, 0.0, 1.0)
+
+
 def source_density(kind):
     """Density matrix emitted by the source before the preparation plates."""
-    kind = SourceKind(kind)
-    if kind is SourceKind.PURE_H:
-        return np.diag([1.0, 0.0]).astype(complex)
-    return np.diag([0.75, 0.25]).astype(complex)
+    return density_from_stokes(np.array(_SOURCE_STOKES[SourceKind(kind)]))
 
 
 @dataclass(frozen=True)
@@ -111,56 +123,60 @@ def default_settings(scheme):
     ]
 
 
-def hwp_unitary(theta):
-    """Jones matrix of a half-wave plate with fast axis at ``theta``.
-
-    ``[[cos 2t, sin 2t], [sin 2t, -cos 2t]]``; Hermitian and unitary.
-    Broadcasts over an array of angles to a stack of 2x2 matrices.
-    """
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(2 * theta), np.sin(2 * theta)
-    return np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], -2).astype(complex)
+# Stokes vectors travel through the plates as their three components
+# ``(x, y, z)``, each a scalar or an array of any shape (one entry per
+# plate setting, per repetition, ...), so every step is a few elementwise
+# operations on whole arrays.  A plate with its fast axis at ``t`` rotates
+# them about ``n = (a, 0, b) = (sin 2t, 0, cos 2t)``.
 
 
-def qwp_unitary(theta):
-    """Jones matrix of a quarter-wave plate with fast axis at ``theta``.
-
-    At ``theta = 0`` this is ``diag(1, i)``: the vertical component is
-    retarded by a quarter wave.  Broadcasts like :func:`hwp_unitary`.
-    """
-    theta = np.asarray(theta, dtype=float)
-    c2 = np.cos(theta) ** 2
-    s2 = np.sin(theta) ** 2
-    cs = np.sin(theta) * np.cos(theta)
-    top = c2 + 1j * s2
-    bot = s2 + 1j * c2
-    off = (1.0 - 1j) * cs
-    return np.stack([np.stack([top, off], -1), np.stack([off, bot], -1)], -2)
+def _dot(u, v):
+    """Inner product of two Stokes vectors given as components, summed in
+    a fixed order so that a batched evaluation is bit-identical to a
+    one-by-one evaluation."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _prep_stokes(rho0, qwp_angles, hwp_angles):
-    """Stokes rows of the source state steered by each plate pair."""
-    u = qwp_unitary(qwp_angles) @ hwp_unitary(hwp_angles)
-    rho = u @ rho0 @ np.conj(np.swapaxes(u, -1, -2))
-    return np.real(np.einsum("...ij,mji->...m", rho, PAULI))
+def _half_wave(theta, v):
+    """Stokes vector ``v`` after a half-wave plate at ``theta``: a rotation
+    by pi about ``n``, ``v -> 2(n.v)n - v``."""
+    a, b = np.sin(2 * theta), np.cos(2 * theta)
+    x, y, z = v
+    d = 2.0 * (a * x + b * z)
+    return d * a - x, -y, d * b - z
+
+
+def _quarter_wave(theta, v, sign):
+    """Stokes vector ``v`` after a quarter-wave plate at ``theta``: a
+    rotation by pi/2 about ``n``, ``v -> (n.v)n + sign n x v``.  ``sign`` is
+    +1 for a state passing the plate and -1 for an observable pulled back
+    through it (``U^dag sigma U`` undoes the state's rotation)."""
+    a, b = np.sin(2 * theta), np.cos(2 * theta)
+    x, y, z = v
+    d = a * x + b * z
+    return d * a - sign * b * y, sign * (b * x - a * z), d * b + sign * a * y
+
+
+def _prep_stokes(source, qwp_angles, hwp_angles):
+    """Stokes components of the source state steered by each plate pair:
+    the half-wave plate first, then the quarter-wave plate."""
+    return _quarter_wave(qwp_angles, _half_wave(hwp_angles, _SOURCE_STOKES[source]), 1.0)
 
 
 def _meas_vectors(qwp_angles, hwp_angles):
-    """Observable vectors of the analyser at each plate pair."""
-    u = hwp_unitary(hwp_angles) @ qwp_unitary(qwp_angles)
-    sigma = np.conj(np.swapaxes(u, -1, -2)) @ SIGMA_3 @ u
-    return np.real(np.einsum("...ij,mji->...m", sigma, PAULI)) / 2.0
+    """Observable components of the analyser at each plate pair: the
+    splitter's ``z`` pulled back through the half-wave plate, then the
+    quarter-wave plate."""
+    return _quarter_wave(qwp_angles, _half_wave(hwp_angles, _Z), -1.0)
 
 
 def prepare_state(source, setting):
     """Density matrix after the preparation plates.
 
-    The source state is conjugated by ``qwp @ hwp``, so its purity is
-    preserved exactly.
+    The plates rotate the source's Stokes vector, so its purity is
+    preserved.
     """
-    rho0 = source_density(source)
-    u = qwp_unitary(setting.qwp_angle) @ hwp_unitary(setting.hwp_angle)
-    return u @ rho0 @ u.conj().T
+    return density_from_stokes(np.array(_prep_stokes(SourceKind(source), setting.qwp_angle, setting.hwp_angle)))
 
 
 def measurement_observable(setting):
@@ -171,7 +187,7 @@ def measurement_observable(setting):
     plates; the returned vector has unit norm (ideal projective
     measurement).
     """
-    return _meas_vectors(setting.qwp_angle, setting.hwp_angle)
+    return np.array(_meas_vectors(setting.qwp_angle, setting.hwp_angle))
 
 
 @dataclass(frozen=True)
@@ -216,7 +232,7 @@ class NoiseModel:
                 f"shots_per_setting must be in [1, 2**63 - 1] (or None for analytic mode), got {self.shots_per_setting}",
                 field="shots",
             )
-        if isinstance(self.angle_jitter_sigma, bool) or not (math.isfinite(self.angle_jitter_sigma) and self.angle_jitter_sigma >= 0):
+        if not (_is_real(self.angle_jitter_sigma) and math.isfinite(self.angle_jitter_sigma) and self.angle_jitter_sigma >= 0):
             raise ConfigError(
                 f"angle_jitter_sigma must be a number >= 0, got {self.angle_jitter_sigma!r}",
                 field="angle_jitter_sigma",
@@ -256,6 +272,8 @@ class ExperimentPlan:
                 f"scheme {self.scheme.value} needs {n} measurement settings, got {len(self.meas_settings)}",
                 field="meas_angles",
             )
+        if isinstance(self.repetitions, bool) or not isinstance(self.repetitions, numbers.Integral):
+            raise ConfigError(f"repetitions must be an integer, got {self.repetitions!r}", field="repetitions")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}", field="repetitions")
         for err in self.errors:
@@ -289,13 +307,16 @@ def _plate_angles(settings):
 
 def _expectation_matrix(plan, prep_q, prep_h, meas_q, meas_h):
     """Noiseless matrix at the given plate angles, with the plan's
-    injected errors applied to their (preparation, setting) elements."""
-    p_rows = _prep_stokes(source_density(plan.source), prep_q, prep_h)
-    values = p_rows @ _meas_vectors(meas_q, meas_h).T
+    injected errors applied to their (preparation, setting) elements.
+    Leading axes of the angle arrays (one per repetition) broadcast: angles
+    of shape ``(..., M)`` and ``(..., N)`` give an ``(..., M, N)`` array."""
+    p_rows = _prep_stokes(plan.source, prep_q, prep_h)
+    w_cols = _meas_vectors(meas_q, meas_h)
+    values = _dot([c[..., :, None] for c in p_rows], [c[..., None, :] for c in w_cols])
     for err in plan.errors:
         a, i = err.prep_index - 1, err.setting_index - 1
-        w = _meas_vectors(meas_q[i], meas_h[i] + _injection_offset(plan, a + 1, i + 1))
-        values[a, i] = p_rows[a] @ w
+        w = _meas_vectors(meas_q[..., i], meas_h[..., i] + _injection_offset(plan, a + 1, i + 1))
+        values[..., a, i] = _dot([c[..., a] for c in p_rows], w)
     return values
 
 
@@ -307,42 +328,48 @@ def true_expectation_matrix(plan):
 def theoretical_states(plan):
     """Density matrices predicted from the nominal plan angles (no noise,
     no injections); the references against which reconstructions score."""
-    return [prepare_state(plan.source, s) for s in plan.prep_settings]
+    rows = np.array(_prep_stokes(plan.source, *_plate_angles(plan.prep_settings))).T
+    return [density_from_stokes(s) for s in rows]
 
 
 def theoretical_observables(plan):
     """Observable vectors predicted from the nominal plan angles, as the
     columns of a 3xN array."""
-    return np.array([measurement_observable(s) for s in plan.meas_settings]).T
+    return np.array(_meas_vectors(*_plate_angles(plan.meas_settings)))
 
 
 def run_experiment(plan):
     """Simulate the repeated measurement of the expectation matrix.
 
-    For each repetition: perturb every plate angle by its jitter draw,
-    compute the noiseless matrix (with injected errors), then sample each
-    element with counting noise.  Returns an ``(R, M, N)`` array, one MxN
-    matrix per repetition.  Jitter draws come first in each repetition's
-    stream (preparation plates in order, quarter before half, then
-    measurement plates), then the counting draws in row-major element
-    order.
+    Each repetition perturbs every plate angle by its jitter draw; the
+    noiseless matrices (with injected errors) of all repetitions are then
+    evaluated as one ``(R, M, N)`` array, and each element is sampled with
+    counting noise.  Returns that ``(R, M, N)`` array, one MxN matrix per
+    repetition.  Jitter draws come first in each repetition's stream
+    (preparation plates in order, quarter before half, then measurement
+    plates), then the counting draws in row-major element order.
     """
     m, n = len(plan.prep_settings), len(plan.meas_settings)
     prep_q, prep_h = _plate_angles(plan.prep_settings)
     meas_q, meas_h = _plate_angles(plan.meas_settings)
+    rngs = [repetition_rng(plan.noise.seed, rep) for rep in range(plan.repetitions)]
+    eps = np.array([rng.standard_normal(2 * (m + n)) for rng in rngs]) * plan.noise.angle_jitter_sigma
+    values = _expectation_matrix(
+        plan,
+        prep_q + eps[:, 0 : 2 * m : 2],
+        prep_h + eps[:, 1 : 2 * m : 2],
+        meas_q + eps[:, 2 * m :: 2],
+        meas_h + eps[:, 2 * m + 1 :: 2],
+    )
     shots = plan.noise.shots_per_setting
-    samples = np.empty((plan.repetitions, m, n))
-    for rep in range(plan.repetitions):
-        rng = repetition_rng(plan.noise.seed, rep)
-        eps = rng.standard_normal(2 * (m + n)) * plan.noise.angle_jitter_sigma
-        samples[rep] = _expectation_matrix(
-            plan,
-            prep_q + eps[0 : 2 * m : 2],
-            prep_h + eps[1 : 2 * m : 2],
-            meas_q + eps[2 * m :: 2],
-            meas_h + eps[2 * m + 1 :: 2],
-        )
-        if shots is not None:
-            p = np.clip((1.0 + samples[rep]) / 2.0, 0.0, 1.0)
-            samples[rep] = 2.0 * rng.binomial(shots, p) / shots - 1.0
+    if shots is None:
+        return values
+    # Probabilities, then counts, then sampled values reuse one buffer,
+    # which keeps the peak memory of long records down.
+    samples = np.clip((1.0 + values) / 2.0, 0.0, 1.0, out=values)
+    for rng, p in zip(rngs, samples):
+        p[...] = rng.binomial(shots, p)
+    samples *= 2.0
+    samples /= shots
+    samples -= 1.0
     return samples

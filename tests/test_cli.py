@@ -99,3 +99,27 @@ class TestCli:
         code = main(["analyze", "--config", config, "--threshold", threshold, "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: threshold must be a finite number")
+
+    def test_single_repetition_file_simulates(self, tmp_path):
+        # the file is validated in the subcommand's mode, not its own default
+        config = write_config(tmp_path, {"seed": 3, "repetitions": 1})
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        header = (tmp_path / "out" / "measurements.csv").read_text().splitlines()[0]
+        assert header.endswith("blocks=1")
+
+    def test_single_repetition_file_cannot_analyze(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"seed": 3, "repetitions": 1})
+        assert main(["analyze", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert "repetitions" in capsys.readouterr().err
+
+    def test_scheme_flag_replaces_file_angles(self, tmp_path):
+        # six angle pairs fit the file's 2n scheme; --scheme n+1 falls back
+        # to the four default pairs of the new scheme
+        angles = [["0", "0"], ["pi/4", "0"], ["pi/4", "pi/8"],
+                  ["pi/16", "pi/16"], ["5pi/16", "pi/16"], ["5pi/16", "3pi/16"]]
+        config = write_config(tmp_path, {"seed": 5, "scheme": "2n", "prep_angles": angles, "meas_angles": angles})
+        code = main(["analyze", "--config", config, "--scheme", "n+1", "--out", str(tmp_path / "out")])
+        assert code == 0
+        payload = json.load(open(tmp_path / "out" / "report.json"))
+        assert payload["scheme"] == "n+1"
+        assert len(payload["config"]["prep_angles"]) == 4

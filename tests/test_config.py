@@ -139,6 +139,14 @@ class TestLoadConfig:
             # a simulated analysis needs two repetitions for its statistics
             ({"repetitions": 1}, "repetitions"),
             ({"mode": "analyze", "repetitions": 1}, "repetitions"),
+            # wrongly typed values name their key
+            ({"threshold": "3"}, "threshold"),
+            ({"threshold": True}, "threshold"),
+            ({"angle_jitter_sigma": "0.1"}, "angle_jitter_sigma"),
+            ({"known_povms": [[0, 0, 1], [0, 1, 0], ["a", 0, 0]]}, "known_povms"),
+            ({"known_povms": [[0, 0, 1], [0, 1, 0], ["1", 0, 0]]}, "known_povms"),
+            ({"known_povms": [[0, 0, 1], [0, 1, 0], [True, 0, 0]]}, "known_povms"),
+            ({"known_povms": [[0, 0, 1], [0, 1, 0], [1, 0]]}, "known_povms"),
         ],
     )
     def test_rejects_unparseable_field(self, tmp_path, payload, field):
@@ -158,6 +166,12 @@ class TestRunConfig:
         assert RunConfig(mode="simulate", repetitions=1).repetitions == 1
         data = str(tmp_path / "m.csv")
         assert RunConfig(mode="analyze", repetitions=1, input_data_path=data).repetitions == 1
+
+    @pytest.mark.parametrize("repetitions", [2.5, True])
+    def test_rejects_non_integer_repetitions(self, repetitions):
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig(repetitions=repetitions)
+        assert excinfo.value.field == "repetitions"
 
     def test_largest_shot_budget_accepted(self):
         assert RunConfig(shots_per_setting=2**63 - 1).shots_per_setting == 2**63 - 1

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from spamtomo import (
+    PAULI,
+    SIGMA_3,
     ConfigError,
     ErrorInjection,
     ExperimentPlan,
@@ -11,68 +13,116 @@ from spamtomo import (
     SourceKind,
     WavePlateSetting,
     default_settings,
-    hwp_unitary,
     measurement_observable,
     prepare_state,
-    qwp_unitary,
+    repetition_rng,
     run_experiment,
     source_density,
     stokes_from_density,
     theoretical_observables,
     true_expectation_matrix,
 )
+from spamtomo.optics import _expectation_matrix, _half_wave, _plate_angles, _quarter_wave
 
 RHO_H = np.diag([1.0, 0.0]).astype(complex)
+H_STOKES = np.array([0.0, 0.0, 1.0])
+
+
+# Jones-matrix oracle: the plates as 2x2 unitaries on the (H, V)
+# amplitudes, against which the Stokes rotations are checked.
+
+
+def hwp_jones(theta):
+    """Half-wave plate at ``theta``: ``[[cos 2t, sin 2t], [sin 2t, -cos 2t]]``."""
+    c, s = np.cos(2 * theta), np.sin(2 * theta)
+    return np.array([[c, s], [s, -c]], dtype=complex)
+
+
+def qwp_jones(theta):
+    """Quarter-wave plate at ``theta``; ``diag(1, i)`` at ``theta = 0``."""
+    c, s = np.cos(theta), np.sin(theta)
+    off = (1.0 - 1j) * c * s
+    return np.array([[c * c + 1j * s * s, off], [off, s * s + 1j * c * c]])
 
 
 def conjugate_stokes(u, rho):
     """Oracle: Stokes vector of u rho u^dag via explicit traces."""
     out = u @ rho @ u.conj().T
-    from spamtomo import PAULI
-
     return np.real(np.einsum("ij,mji->m", out, PAULI))
 
 
+def jones_state(source, setting):
+    """Oracle preparation: the source conjugated by ``qwp @ hwp``."""
+    u = qwp_jones(setting.qwp_angle) @ hwp_jones(setting.hwp_angle)
+    return u @ source_density(source) @ u.conj().T
+
+
+def jones_observable(setting):
+    """Oracle analyser: the vector of ``U^dag sigma_3 U``, ``U = hwp @ qwp``."""
+    u = hwp_jones(setting.hwp_angle) @ qwp_jones(setting.qwp_angle)
+    return np.real(np.einsum("ij,mji->m", u.conj().T @ SIGMA_3 @ u, PAULI)) / 2.0
+
+
+def plate_matrices(theta):
+    """The 3x3 matrices of the half-wave plate and of the quarter-wave
+    plate acting on a state, built column by column from the basis."""
+    basis = np.eye(3)
+    return np.array(_half_wave(theta, basis)), np.array(_quarter_wave(theta, basis, 1.0))
+
+
 class TestPlateUnitaries:
+    """The plates' actions on Stokes vectors: the rotations that the
+    Jones unitaries induce by conjugation."""
+
     def test_hwp_at_zero(self):
-        np.testing.assert_allclose(hwp_unitary(0.0), np.diag([1, -1]), atol=1e-12)
+        # diag(1, -1) reflects the diagonal and circular components
+        np.testing.assert_allclose(plate_matrices(0.0)[0], np.diag([-1, -1, 1]), atol=1e-12)
 
     def test_hwp_swaps_h_and_v(self):
-        np.testing.assert_allclose(hwp_unitary(np.pi / 4), [[0, 1], [1, 0]], atol=1e-12)
+        half = plate_matrices(np.pi / 4)[0]
+        np.testing.assert_allclose(half @ H_STOKES, [0, 0, -1], atol=1e-12)
+        np.testing.assert_allclose(half, np.diag([1, -1, -1]), atol=1e-12)
 
     def test_hwp_at_pi_over_8(self):
-        expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        np.testing.assert_allclose(hwp_unitary(np.pi / 8), expected, atol=1e-12)
+        # the Hadamard-like plate exchanges H/V and diagonal
+        expected = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
+        np.testing.assert_allclose(plate_matrices(np.pi / 8)[0], expected, atol=1e-12)
 
     def test_qwp_at_zero(self):
-        np.testing.assert_allclose(qwp_unitary(0.0), np.diag([1, 1j]), atol=1e-12)
+        # diag(1, i) turns diagonal light circular: x -> y -> -x about z
+        expected = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+        np.testing.assert_allclose(plate_matrices(0.0)[1], expected, atol=1e-12)
 
     def test_qwp_axes_swapped(self):
-        np.testing.assert_allclose(qwp_unitary(np.pi / 2), np.diag([1j, 1]), atol=1e-12)
+        # diag(i, 1) equals diag(1, -i) up to phase: the opposite turn
+        expected = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
+        np.testing.assert_allclose(plate_matrices(np.pi / 2)[1], expected, atol=1e-12)
 
     def test_qwp_makes_circular_light(self):
-        # conjugation oracle: H through a quarter-wave plate at pi/4 is
-        # circular; the sign is pinned by the convention that preparation 2
-        # against setting 2 gives expectation -1 (see below).
-        s = conjugate_stokes(qwp_unitary(np.pi / 4), RHO_H)
+        # H through a quarter-wave plate at pi/4 is circular; the sign is
+        # pinned by the convention that preparation 2 against setting 2
+        # gives expectation -1 (see test_circular_basis_sign)
+        s = np.array(_quarter_wave(np.pi / 4, H_STOKES, 1.0))
         np.testing.assert_allclose(s, [0, -1, 0], atol=1e-12)
+        np.testing.assert_allclose(s, conjugate_stokes(qwp_jones(np.pi / 4), RHO_H), atol=1e-12)
 
     def test_unitarity_random_angles(self, rng):
+        # a unitary's conjugation is a proper rotation, and each plate's
+        # matrix is the one its Jones unitary induces
         for theta in rng.uniform(-np.pi, np.pi, 100):
-            for u in (hwp_unitary(theta), qwp_unitary(theta)):
-                np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+            for r, jones in zip(plate_matrices(theta), (hwp_jones(theta), qwp_jones(theta))):
+                np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
+                assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+                for k, sigma in enumerate(PAULI):
+                    rho = (np.eye(2) + sigma) / 2  # projector onto +1 eigenspace
+                    np.testing.assert_allclose(r[:, k], conjugate_stokes(jones, rho), atol=1e-12)
+            observable = np.array(_quarter_wave(theta, np.eye(3), -1.0))
+            np.testing.assert_allclose(observable, plate_matrices(theta)[1].T, atol=1e-12)
 
     def test_pi_periodic_action(self, rng):
-        from spamtomo import PAULI
-
         for theta in rng.uniform(-np.pi, np.pi, 20):
-            for make in (hwp_unitary, qwp_unitary):
-                u1, u2 = make(theta), make(theta + np.pi)
-                for sigma in PAULI:
-                    rho = (sigma @ sigma + sigma) / 2  # projector onto +1 eigenspace
-                    np.testing.assert_allclose(
-                        u1 @ rho @ u1.conj().T, u2 @ rho @ u2.conj().T, atol=1e-12
-                    )
+            for r1, r2 in zip(plate_matrices(theta), plate_matrices(theta + np.pi)):
+                np.testing.assert_allclose(r1, r2, atol=1e-12)
 
 
 class TestPrepareState:
@@ -191,6 +241,27 @@ class TestSampleExpectation:
             np.testing.assert_array_equal(matrix, truth)
 
 
+def reference_repetition(plan, rep):
+    """Repetition ``rep`` of ``run_experiment`` rebuilt from its own stream,
+    one draw at a time: the jitter of each preparation plate pair (quarter
+    before half), then of each measurement pair, then one binomial count
+    per element in row-major order."""
+    rng = repetition_rng(plan.noise.seed, rep)
+    sigma = plan.noise.angle_jitter_sigma
+    angles = [*_plate_angles(plan.prep_settings), *_plate_angles(plan.meas_settings)]
+    for quarter, half in (angles[:2], angles[2:]):
+        for k in range(len(quarter)):
+            quarter[k] += rng.standard_normal() * sigma
+            half[k] += rng.standard_normal() * sigma
+    values = _expectation_matrix(plan, *angles)
+    shots = plan.noise.shots_per_setting
+    if shots is None:
+        return values
+    p = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
+    counts = np.array([[rng.binomial(shots, p_ai) for p_ai in row] for row in p])
+    return 2.0 * counts / shots - 1.0
+
+
 class TestRunExperiment:
     def test_noiseless_matrix_matches_factorization(self):
         plan = ExperimentPlan(
@@ -206,6 +277,31 @@ class TestRunExperiment:
             np.testing.assert_allclose(matrix, rows @ cols, atol=1e-12)
         assert samples[0][0, 0] == pytest.approx(1.0, abs=1e-12)
         assert samples[0][1, 1] == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("source", list(SourceKind))
+    @pytest.mark.parametrize(
+        "errors,shots,jitter",
+        [
+            ((), 10_000, 0.0113),
+            ((ErrorInjection(2, 3, np.pi / 20), ErrorInjection(1, 1, np.pi / 4)), 500, 0.02),
+            ((), 10_000, 0.0),
+            ((ErrorInjection(1, 1, np.pi / 4),), None, 0.0113),
+        ],
+        ids=["jitter", "injected", "zero-jitter", "analytic"],
+    )
+    def test_stream_order_pinned(self, scheme, source, errors, shots, jitter):
+        plan = ExperimentPlan(
+            source=source,
+            scheme=scheme,
+            prep_settings=default_settings(scheme),
+            meas_settings=default_settings(scheme),
+            errors=errors,
+            noise=NoiseModel(shots_per_setting=shots, angle_jitter_sigma=jitter, seed=29),
+            repetitions=4,
+        )
+        expected = np.array([reference_repetition(plan, rep) for rep in range(plan.repetitions)])
+        assert np.array_equal(run_experiment(plan), expected)
 
     def test_seed_determinism(self):
         plan = ExperimentPlan(noise=NoiseModel(seed=11), repetitions=10)
@@ -263,6 +359,12 @@ class TestValidation:
     def test_rejects_negative_jitter(self):
         with pytest.raises(ConfigError):
             NoiseModel(angle_jitter_sigma=-0.1)
+
+    @pytest.mark.parametrize("repetitions", [2.5, True, "3"])
+    def test_rejects_non_integer_repetitions(self, repetitions):
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentPlan(repetitions=repetitions)
+        assert excinfo.value.field == "repetitions"
 
     def test_rejects_out_of_range_injection(self):
         with pytest.raises(ConfigError):

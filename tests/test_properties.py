@@ -1,5 +1,8 @@
 """Property tests: the consistency identity and its symmetries on random
-stacks, and the measurement-file loader on random and fuzzed input."""
+stacks, the plates' Stokes rotations against their Jones matrices, the
+measurement-file loader on random and fuzzed input, and fuzzed configs."""
+
+import re
 
 import numpy as np
 import pytest
@@ -10,16 +13,26 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from spamtomo import (  # noqa: E402
+    ConfigError,
     DataFormatError,
+    RunConfig,
     Scheme,
+    SourceKind,
+    WavePlateSetting,
     apply_gauge,
+    config_from_dict,
     delta_statistics,
     detect,
     load_measurements,
+    measurement_observable,
     partial_determinant,
+    prepare_state,
     save_measurements,
+    source_density,
 )
+from spamtomo.config import _KNOWN_KEYS  # noqa: E402
 from conftest import sample_invertible, sample_stokes_ball  # noqa: E402
+from test_optics import jones_observable, jones_state  # noqa: E402
 
 
 def full_rank_factors(rng, count):
@@ -176,3 +189,48 @@ def test_fuzzed_measurement_text_loads_or_is_rejected(tmp_path_factory, scheme, 
     assert stack.shape[1:] == (loaded_scheme.n_settings,) * 2
     assert np.all(np.abs(stack) <= 1.0 + 1e-9)
     np.testing.assert_array_equal(stack, reference_stack(text, loaded_scheme.n_settings))
+
+
+ANGLE = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=st.sampled_from(list(SourceKind)), qwp=ANGLE, hwp=ANGLE)
+def test_plate_rotations_match_jones_conjugation(source, qwp, hwp):
+    setting = WavePlateSetting(qwp, hwp)
+    rho = prepare_state(source, setting)
+    np.testing.assert_allclose(rho, jones_state(source, setting), rtol=0, atol=1e-12)
+    rho0 = source_density(source)
+    assert np.trace(rho @ rho).real == pytest.approx(np.trace(rho0 @ rho0).real, abs=1e-12)
+    w = measurement_observable(setting)
+    np.testing.assert_allclose(w, jones_observable(setting), rtol=0, atol=1e-12)
+    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+
+
+# Values of mixed type for any config key: scalars, lists and nested
+# objects, plus valid pieces so that parsing gets past the first check.
+VALID_PIECES = st.sampled_from([
+    "full", "simulate", "analyze", "2n", "n+1", "pure_h", "mixed", "inf", "pi/4", "5pi/16", 3, 10,
+    [["0", "0"]] * 4, [["0", "pi/8"]] * 6, [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    [{"prep": 1, "setting": 1, "hwp_offset": "pi/20"}],
+])
+SCALARS = st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=8)
+VALUES = st.recursive(
+    SCALARS | VALID_PIECES,
+    lambda children: st.lists(children, max_size=7) | st.dictionaries(
+        st.sampled_from(["prep", "setting", "hwp_offset", "x"]) | st.text(max_size=3), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.dictionaries(st.sampled_from(sorted(_KNOWN_KEYS)), VALUES, max_size=8))
+def test_fuzzed_configs_validate_or_are_rejected(raw):
+    # a rejection names the key at fault, e.g. "prep_angles[2].qwp"
+    try:
+        config = config_from_dict(raw)
+    except ConfigError as exc:
+        assert exc.field is not None, str(exc)
+        assert re.split(r"[\[.]", exc.field)[0] in raw
+        return
+    assert isinstance(config, RunConfig)
