@@ -12,16 +12,12 @@ from spamtomo import (
     ExperimentPlan,
     NoiseModel,
     SourceKind,
-    default_settings,
-    density_from_stokes,
     fidelity,
     loop_bootstrap,
-    povm_from_observable,
-    prepare_state,
     relative_error,
     run_experiment,
-    stokes_from_density,
     theoretical_observables,
+    theoretical_states,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -34,21 +30,18 @@ result = loop_bootstrap(mean_matrix, known)
 print("consistency residual:", result.consistency_residual)
 print("rescaled-to-pure flags (states):", result.prep_renormalized)
 
-true_rows = np.array(
-    [stokes_from_density(prepare_state(plan.source, s)) for s in plan.prep_settings]
-)
+# Scores work on the vectors directly: Stokes rows for states, observable
+# columns for the detector settings.
+true_rows = theoretical_states(plan)
 true_cols = theoretical_observables(plan)
+fids = fidelity(result.prep_stokes, true_rows)
+errors = relative_error(result.obs_vectors.T, true_cols.T)
 
 print(f"\n{'state':>7} {'fidelity':>10}     {'setting':>7} {'relative error':>15}")
 for k in range(6):
-    fid = fidelity(
-        density_from_stokes(result.prep_stokes[k]), density_from_stokes(true_rows[k])
-    )
-    line = f"{k + 1:>7} {fid:>10.6f}"
+    line = f"{k + 1:>7} {fids[k]:>10.6f}"
     if k >= 3:
-        rec_e = povm_from_observable(result.obs_vectors[:, k]).e
-        true_e = povm_from_observable(true_cols[:, k]).e
-        line += f"     {k + 1:>7} {relative_error(rec_e, true_e):>15.6f}"
+        line += f"     {k + 1:>7} {errors[k]:>15.6f}"
     print(line)
 
 print("\nsame run with the mixed source:")
@@ -57,12 +50,5 @@ plan_m = ExperimentPlan(
 )
 mean_m = np.mean(run_experiment(plan_m), axis=0)
 result_m = loop_bootstrap(mean_m, known)
-true_m = np.array(
-    [stokes_from_density(prepare_state(plan_m.source, s)) for s in plan_m.prep_settings]
-)
-fids = [
-    fidelity(density_from_stokes(result_m.prep_stokes[k]), density_from_stokes(true_m[k]))
-    for k in range(6)
-]
-print("state fidelities:", np.array(fids))
+print("state fidelities:", fidelity(result_m.prep_stokes, theoretical_states(plan_m)))
 print("residual:", result_m.consistency_residual)

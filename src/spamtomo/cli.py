@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands mirror the run modes:
+The first argument is the run mode:
 
     spamtomo simulate    --config cfg.json --out results/
     spamtomo analyze     --config cfg.json --data measurements.csv
@@ -20,32 +20,36 @@ from .errors import SpamTomoError
 from .optics import Scheme
 from .runner import EXIT_ERROR, run, write_outputs
 
+MODES = (
+    ("simulate", "generate measurement data only"),
+    ("analyze", "run the correlated-error test on simulated or loaded data"),
+    ("reconstruct", "analyze, then reconstruct states/POVMs when the data are clean"),
+    ("full", "simulate, analyze, reconstruct and dump everything"),
+)
+
 
 def build_parser():
+    """One parser for every mode: the mode is a positional argument and
+    all modes share the same flags."""
     parser = argparse.ArgumentParser(
         prog="spamtomo",
-        description="Loop SPAM tomography: simulate, detect correlated errors, reconstruct.",
+        description="Loop SPAM tomography: simulate, detect correlated errors, reconstruct.\n\nmodes:\n"
+        + "\n".join(f"  {mode:<12} {help_text}" for mode, help_text in MODES),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, help_text in (
-        ("simulate", "generate measurement data only"),
-        ("analyze", "run the correlated-error test on simulated or loaded data"),
-        ("reconstruct", "analyze, then reconstruct states/POVMs when the data are clean"),
-        ("full", "simulate, analyze, reconstruct and dump everything"),
-    ):
-        cmd = sub.add_parser(mode, help=help_text)
-        cmd.add_argument("--config", metavar="PATH", help="JSON run configuration")
-        cmd.add_argument("--data", metavar="PATH", help="measurement CSV to analyze")
-        cmd.add_argument("--out", metavar="DIR", help="output directory")
-        cmd.add_argument("--seed", type=int, help="random seed override")
-        cmd.add_argument("--threshold", type=float, help="detection threshold (sigma units)")
-        cmd.add_argument("--scheme", choices=[s.value for s in Scheme], help="measurement scheme")
+    parser.add_argument("mode", choices=[mode for mode, _ in MODES], help="run mode")
+    parser.add_argument("--config", metavar="PATH", help="JSON run configuration")
+    parser.add_argument("--data", metavar="PATH", help="measurement CSV to analyze")
+    parser.add_argument("--out", metavar="DIR", help="output directory")
+    parser.add_argument("--seed", type=int, help="random seed override")
+    parser.add_argument("--threshold", type=float, help="detection threshold (sigma units)")
+    parser.add_argument("--scheme", choices=[s.value for s in Scheme], help="measurement scheme")
     return parser
 
 
 def _configure(args):
-    """The run configuration: the config file (if any) with the subcommand
-    and flags merged over its keys, validated once."""
+    """The run configuration: the config file (if any) with the mode and
+    flags merged over its keys, validated once."""
     overrides = {"mode": args.mode}
     for key, value in (
         ("input_data", args.data),

@@ -146,7 +146,7 @@ def load_measurements(path):
 
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
+        return obj.tolist() if np.isfinite(obj).all() else _jsonify(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
         return _jsonify(obj.item())
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -161,9 +161,9 @@ def _jsonify(obj):
 def write_report(path, report_dict):
     """Serialize a report dictionary as canonical standard JSON (sorted
     keys; non-finite numbers as the strings "inf", "-inf" and "nan")."""
+    text = json.dumps(_jsonify(report_dict), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_jsonify(report_dict), handle, sort_keys=True, indent=2, allow_nan=False)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def read_report(path):

@@ -26,7 +26,8 @@ from a finite photon budget per setting, and Gaussian wave-plate angle
 jitter redrawn once per plate per repetition (slow drift between
 sequential runs).  Every repetition derives its own random stream from
 ``(seed, repetition index)``, so results do not depend on evaluation
-order and are reproducible bit for bit.
+order or on how repetitions are grouped into blocks, and are
+reproducible bit for bit.
 """
 
 import enum
@@ -326,10 +327,10 @@ def true_expectation_matrix(plan):
 
 
 def theoretical_states(plan):
-    """Density matrices predicted from the nominal plan angles (no noise,
-    no injections); the references against which reconstructions score."""
-    rows = np.array(_prep_stokes(plan.source, *_plate_angles(plan.prep_settings))).T
-    return [density_from_stokes(s) for s in rows]
+    """Stokes vectors predicted from the nominal plan angles (no noise, no
+    injections), as the rows of an Mx3 array; the references against which
+    reconstructions score."""
+    return np.array(_prep_stokes(plan.source, *_plate_angles(plan.prep_settings))).T
 
 
 def theoretical_observables(plan):
@@ -338,38 +339,47 @@ def theoretical_observables(plan):
     return np.array(_meas_vectors(*_plate_angles(plan.meas_settings)))
 
 
+# Repetitions simulated together.  A block's generators, jitter draws and
+# intermediate arrays are alive at once, so this bounds the memory a long
+# record needs beyond its output; the streams do not depend on it.
+BLOCK_REPETITIONS = 256
+
+
 def run_experiment(plan):
     """Simulate the repeated measurement of the expectation matrix.
 
     Each repetition perturbs every plate angle by its jitter draw; the
-    noiseless matrices (with injected errors) of all repetitions are then
-    evaluated as one ``(R, M, N)`` array, and each element is sampled with
-    counting noise.  Returns that ``(R, M, N)`` array, one MxN matrix per
-    repetition.  Jitter draws come first in each repetition's stream
-    (preparation plates in order, quarter before half, then measurement
-    plates), then the counting draws in row-major element order.
+    noiseless matrices (with injected errors) of a block of repetitions
+    are then evaluated as one ``(block, M, N)`` array, and each element is
+    sampled with counting noise.  Returns the ``(R, M, N)`` array, one MxN
+    matrix per repetition.  Jitter draws come first in each repetition's
+    stream (preparation plates in order, quarter before half, then
+    measurement plates), then the counting draws in row-major element
+    order.
     """
     m, n = len(plan.prep_settings), len(plan.meas_settings)
     prep_q, prep_h = _plate_angles(plan.prep_settings)
     meas_q, meas_h = _plate_angles(plan.meas_settings)
-    rngs = [repetition_rng(plan.noise.seed, rep) for rep in range(plan.repetitions)]
-    eps = np.array([rng.standard_normal(2 * (m + n)) for rng in rngs]) * plan.noise.angle_jitter_sigma
-    values = _expectation_matrix(
-        plan,
-        prep_q + eps[:, 0 : 2 * m : 2],
-        prep_h + eps[:, 1 : 2 * m : 2],
-        meas_q + eps[:, 2 * m :: 2],
-        meas_h + eps[:, 2 * m + 1 :: 2],
-    )
     shots = plan.noise.shots_per_setting
-    if shots is None:
-        return values
-    # Probabilities, then counts, then sampled values reuse one buffer,
-    # which keeps the peak memory of long records down.
-    samples = np.clip((1.0 + values) / 2.0, 0.0, 1.0, out=values)
-    for rng, p in zip(rngs, samples):
-        p[...] = rng.binomial(shots, p)
-    samples *= 2.0
-    samples /= shots
-    samples -= 1.0
+    samples = np.empty((plan.repetitions, m, n))
+    for start in range(0, plan.repetitions, BLOCK_REPETITIONS):
+        block = samples[start : start + BLOCK_REPETITIONS]
+        rngs = [repetition_rng(plan.noise.seed, rep) for rep in range(start, start + len(block))]
+        eps = np.array([rng.standard_normal(2 * (m + n)) for rng in rngs]) * plan.noise.angle_jitter_sigma
+        block[...] = _expectation_matrix(
+            plan,
+            prep_q + eps[:, 0 : 2 * m : 2],
+            prep_h + eps[:, 1 : 2 * m : 2],
+            meas_q + eps[:, 2 * m :: 2],
+            meas_h + eps[:, 2 * m + 1 :: 2],
+        )
+        if shots is not None:
+            # probabilities, then counts, in the block's own buffer
+            np.clip((1.0 + block) / 2.0, 0.0, 1.0, out=block)
+            for rng, p in zip(rngs, block):
+                p[...] = rng.binomial(shots, p)
+    if shots is not None:
+        samples *= 2.0
+        samples /= shots
+        samples -= 1.0
     return samples

@@ -15,6 +15,9 @@ Conventions used throughout the package:
   discrimination power.  Only unbiased pairs (``tr E = 1``) are handled.
 * The expectation value of the setting's observable ``E - (1 - E)`` on a
   state is then simply the dot product ``s . w``.
+* Reconstructions are scored on these vectors: fidelity and relative
+  error have closed forms on Stokes and observable vectors, so no
+  matrix is built to score them.
 
 All functions are pure and operate on plain numpy arrays, so they are safe
 for concurrent use.
@@ -22,7 +25,7 @@ for concurrent use.
 
 import numpy as np
 
-from .errors import NonPhysicalError, SingularMatrixError
+from .errors import NonPhysicalError, ShapeError, SingularMatrixError
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -34,6 +37,8 @@ PAULI = np.stack([SIGMA_1, SIGMA_2, SIGMA_3])
 
 ATOL_ALGEBRA = 1e-12  # exact linear algebra
 ATOL_INPUT = 1e-9     # validated user input
+# |s|^2 of a unit vector lands this close to 1 after rounding.
+PURITY_ATOL = 8 * np.finfo(float).eps
 
 
 def is_hermitian(matrix, atol=ATOL_ALGEBRA):
@@ -151,46 +156,70 @@ def born_probability(rho, element, atol=ATOL_INPUT):
     return float(min(max(p, 0.0), 1.0))
 
 
-def fidelity(a, b, atol=ATOL_INPUT):
-    """Fidelity of two qubit density matrices.
+def _norms_squared(v):
+    return np.einsum("...i,...i->...", v, v)
 
-    Uses the qubit closed form ``F = tr(ab) + 2 sqrt(det a det b)``,
-    which equals the square of the trace of sqrt(sqrt(a) b sqrt(a)) for
-    2x2 unit-trace PSD operators without taking any matrix square roots.
+
+def _score_pair(s, t, atol, what):
+    """Two equally shaped ``(..., 3)`` float arrays of vectors inside the
+    unit ball (up to ``atol``), and their squared norms."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if s.shape != t.shape or s.shape[-1:] != (3,):
+        raise ShapeError(f"{what} needs two equally shaped (..., 3) arrays, got shapes {s.shape} and {t.shape}")
+    squares = []
+    for name, v in (("first", s), ("second", t)):
+        sq = _norms_squared(v)
+        bad = ~(sq <= (1.0 + atol) ** 2)  # NaN fails too
+        if bad.any():
+            raise NonPhysicalError(f"non-physical {name} vector: |v| = {np.sqrt(sq[bad][0])} exceeds the unit ball")
+        squares.append(sq)
+    return s, t, squares[0], squares[1]
+
+
+def _purity_deficit(sq):
+    """``1 - |s|^2``, with deficits within roundoff of the sphere (and
+    negative ones) set to 0: the state is then pure."""
+    deficit = 1.0 - sq
+    return np.where(deficit > PURITY_ATOL, deficit, 0.0)
+
+
+def fidelity(s, t, atol=ATOL_INPUT):
+    """Fidelity of the qubit states with Stokes vectors ``s`` and ``t``.
+
+    ``s`` and ``t`` are ``(..., 3)`` arrays scored pairwise along the last
+    axis.  For qubits ``(tr sqrt(sqrt(a) b sqrt(a)))^2`` has the closed form
+    ``(1 + s.t + sqrt((1 - |s|^2)(1 - |t|^2))) / 2``, clipped to [0, 1].  A
+    state within roundoff of the sphere counts as pure, so the square root
+    does not turn roundoff into errors near 1e-8.
     """
-    a = check_density(a, atol)
-    b = check_density(b, atol)
-    det_a = max(np.linalg.det(a).real, 0.0)
-    det_b = max(np.linalg.det(b).real, 0.0)
-    f = np.trace(a @ b).real + 2.0 * np.sqrt(det_a * det_b)
-    return float(min(max(f, 0.0), 1.0))
+    s, t, sq_s, sq_t = _score_pair(s, t, atol, "fidelity")
+    overlap = np.einsum("...i,...i->...", s, t)
+    f = 0.5 * (1.0 + overlap + np.sqrt(_purity_deficit(sq_s) * _purity_deficit(sq_t)))
+    return np.clip(f, 0.0, 1.0)
 
 
-def povm_element_fidelity(e_a, e_b, atol=ATOL_INPUT):
-    """Fidelity of two POVM elements after normalizing each by its trace.
+def povm_element_fidelity(w, v, atol=ATOL_INPUT):
+    """Fidelity of the trace-normalized positive elements of the unbiased
+    POVMs with observable vectors ``w`` and ``v``.
 
-    The fidelity formula presupposes unit-trace operators, so elements are
-    rescaled to trace 1 before comparison.
+    ``E = (w . sigma + 1) / 2`` has unit trace, so the normalized element
+    is the state with Stokes vector ``w`` and the score is
+    ``fidelity(w, v)``.
     """
-    e_a = np.asarray(e_a, dtype=complex)
-    e_b = np.asarray(e_b, dtype=complex)
-    norms = []
-    for name, el in (("first", e_a), ("second", e_b)):
-        tr = np.trace(el).real
-        if tr <= atol:
-            raise NonPhysicalError(f"{name} POVM element has non-positive trace {tr}")
-        norms.append(el / tr)
-    return fidelity(norms[0], norms[1], atol)
+    return fidelity(w, v, atol)
 
 
-def relative_error(rec, th, atol=ATOL_ALGEBRA):
-    """Frobenius-norm relative error ``|rec - th| / |th|`` of two operators."""
-    rec = np.asarray(rec, dtype=complex)
-    th = np.asarray(th, dtype=complex)
-    denom = np.linalg.norm(th)
-    if denom <= atol:
-        raise NonPhysicalError("relative error is degenerate: reference operator has zero norm")
-    return float(np.linalg.norm(rec - th) / denom)
+def relative_error(w, v, atol=ATOL_INPUT):
+    """Frobenius-norm relative error ``|E_w - E_v| / |E_v|`` of the positive
+    elements of the unbiased POVMs with observable vectors ``w`` and ``v``
+    (``(..., 3)`` arrays, scored pairwise).
+
+    ``(u . sigma)^2 = |u|^2 1``, so this is ``|w - v| / sqrt(1 + |v|^2)``;
+    the reference element never has zero norm.
+    """
+    w, v, _, sq_v = _score_pair(w, v, atol, "relative error")
+    return np.sqrt(_norms_squared(w - v) / (1.0 + sq_v))
 
 
 def apply_gauge(p_rows, w_cols, g, atol=ATOL_ALGEBRA):

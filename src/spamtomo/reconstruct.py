@@ -146,30 +146,25 @@ class ReconstructionScore:
 
 
 def score_reconstruction(rec_states, true_states, rec_povms, true_povms, renormalized_flags=None):
-    """Score reconstructed operators against their references.
+    """Score reconstructed vectors against their references.
 
-    States are compared by fidelity; POVM elements both by fidelity
-    (after trace normalization) and by Frobenius relative error on the
-    raw elements.  Scores follow the list order, so permuting the inputs
-    permutes the scores identically.
+    All four inputs are ``(k, 3)`` arrays: Stokes vectors of states and
+    observable vectors of POVM elements, one per row.  States are compared
+    by fidelity; POVM elements both by fidelity (after trace
+    normalization) and by Frobenius relative error on the raw elements.
+    Scores follow the row order, so permuting the inputs permutes the
+    scores identically.
     """
-    if len(rec_states) != len(true_states):
-        raise ShapeError(
-            f"state list lengths differ: {len(rec_states)} reconstructed vs {len(true_states)} reference"
-        )
-    if len(rec_povms) != len(true_povms):
-        raise ShapeError(
-            f"POVM list lengths differ: {len(rec_povms)} reconstructed vs {len(true_povms)} reference"
-        )
-    fids = [fidelity(rec, ref) for rec, ref in zip(rec_states, true_states)]
-    fids += [povm_element_fidelity(rec, ref) for rec, ref in zip(rec_povms, true_povms)]
-    errors = [relative_error(rec, ref) for rec, ref in zip(rec_povms, true_povms)]
+    if any(np.ndim(v) != 2 for v in (rec_states, true_states, rec_povms, true_povms)):
+        raise ShapeError("scores need (k, 3) arrays of vectors, one per row")
+    fids = np.concatenate([fidelity(rec_states, true_states), povm_element_fidelity(rec_povms, true_povms)])
+    errors = relative_error(rec_povms, true_povms)
     if renormalized_flags is None:
-        flags = (False,) * (len(rec_states) + len(rec_povms))
+        flags = (False,) * len(fids)
     else:
         flags = tuple(bool(f) for f in renormalized_flags)
     return ReconstructionScore(
-        fidelities=tuple(fids),
-        relative_errors=tuple(errors),
+        fidelities=tuple(fids.tolist()),
+        relative_errors=tuple(errors.tolist()),
         renormalized_flags=flags,
     )

@@ -32,7 +32,8 @@ from .detect import (
 )
 from .errors import ConfigError
 from .optics import Scheme, run_experiment, theoretical_observables, theoretical_states
-from .qubit import density_from_stokes, povm_from_observable
+# Not called here; perfbench/layertrace.py still traces these two names.
+from .qubit import density_from_stokes, povm_from_observable  # noqa: F401
 from .reconstruct import loop_bootstrap, score_reconstruction
 
 EXIT_CLEAN = 0
@@ -49,7 +50,7 @@ def _scored_operators(scheme):
     0-based preparation and setting they hold.
     """
     index = scheme.embed_index
-    return tuple(r for r, p in enumerate(index) if p not in index[:r]), (3, 4, 5)
+    return [r for r, p in enumerate(index) if p not in index[:r]], [3, 4, 5]
 
 
 @dataclass
@@ -74,7 +75,7 @@ class RunReport:
             "scheme": self.config.scheme.value,
             "threshold": self.config.detection_threshold,
             "seed": self.config.seed,
-            "samples": self.samples.tolist(),
+            "samples": self.samples,
             "exit_code": self.exit_code,
         }
         if self.stats is not None:
@@ -141,18 +142,15 @@ def _known_observables(config, true_obs):
 def _reconstruct_and_score(config, plan, embedded):
     true_obs = theoretical_observables(plan)
     loop = loop_bootstrap(np.mean(embedded, axis=0), _known_observables(config, true_obs))
-    true_states = theoretical_states(plan)
     index = config.scheme.embed_index
     rows, cols = _scored_operators(config.scheme)
-
-    rec_states = [density_from_stokes(loop.prep_stokes[r]) for r in rows]
-    ref_states = [true_states[index[r]] for r in rows]
-    rec_povms = [povm_from_observable(loop.obs_vectors[:, c]).e for c in cols]
-    ref_povms = [povm_from_observable(true_obs[:, index[c]]).e for c in cols]
-
-    flags = [bool(loop.prep_renormalized[r]) for r in rows]
-    flags += [bool(loop.obs_renormalized[c]) for c in cols]
-    scores = score_reconstruction(rec_states, ref_states, rec_povms, ref_povms, flags)
+    scores = score_reconstruction(
+        loop.prep_stokes[rows],
+        theoretical_states(plan)[[index[r] for r in rows]],
+        loop.obs_vectors[:, cols].T,
+        true_obs[:, [index[c] for c in cols]].T,
+        np.concatenate([loop.prep_renormalized[rows], loop.obs_renormalized[cols]]),
+    )
     return loop, scores
 
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from spamtomo.cli import main
+from spamtomo.cli import build_parser, main
 
 
 def write_config(tmp_path, payload):
@@ -123,3 +123,33 @@ class TestCli:
         payload = json.load(open(tmp_path / "out" / "report.json"))
         assert payload["scheme"] == "n+1"
         assert len(payload["config"]["prep_angles"]) == 4
+
+
+class TestParser:
+    @pytest.mark.parametrize("mode", ["simulate", "analyze", "reconstruct", "full"])
+    def test_each_mode_parses_and_runs(self, tmp_path, capsys, mode):
+        args = build_parser().parse_args([mode, "--seed", "4", "--out", str(tmp_path)])
+        assert (args.mode, args.seed, args.out) == (mode, 4, str(tmp_path))
+        assert main([mode, "--seed", "4", "--out", str(tmp_path)]) == 0
+        assert json.load(open(tmp_path / "report.json"))["config"]["mode"] == mode
+        assert capsys.readouterr().out.endswith(f"report written to {tmp_path / 'report.json'}\n")
+
+    def test_flags_before_mode(self, tmp_path):
+        args = build_parser().parse_args(["--scheme", "n+1", "--threshold", "2.5", "analyze", "--data", "m.csv"])
+        assert (args.mode, args.scheme, args.threshold, args.data) == ("analyze", "n+1", 2.5, "m.csv")
+
+    def test_help_lists_modes_and_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name in ("simulate", "analyze", "reconstruct", "full",
+                     "--config", "--data", "--out", "--seed", "--threshold", "--scheme"):
+            assert name in out
+
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["--seed", "3"], ["full", "extra"]])
+    def test_bad_mode_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: spamtomo" in capsys.readouterr().err

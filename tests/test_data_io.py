@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -232,6 +233,47 @@ class TestReports:
         grids = str(tmp_path / "grids.csv")
         emit_plot_data(read_report(path), grids)
         assert "inf,1.0,0.0" in open(grids).read()
+
+    def test_bytes_equal_streaming_encoder(self, tmp_path):
+        def jsonify(obj):
+            # the element-by-element conversion the report writer used to
+            # stream through json.dump
+            if isinstance(obj, np.ndarray):
+                return jsonify(obj.tolist())
+            if isinstance(obj, (np.floating, np.integer)):
+                return jsonify(obj.item())
+            if isinstance(obj, float) and not math.isfinite(obj):
+                return repr(obj)
+            if isinstance(obj, dict):
+                return {k: jsonify(v) for k, v in obj.items()}
+            if isinstance(obj, (list, tuple)):
+                return [jsonify(v) for v in obj]
+            return obj
+
+        payload = {
+            "schema": "spamtomo-report v2",
+            "samples": np.random.default_rng(5).uniform(-1, 1, (3, 4, 4)),
+            "delta_stats": {
+                "mean": np.array([[0.1, -0.0, 1e-300], [2.5e-17, 1.0, -1.0], [0.0, 3.0, 7.0]]),
+                "significance": np.array([[np.inf, 1.0, 0.0], [0.0, -np.inf, 0.0], [0.0, 0.0, np.nan]]),
+                "repetitions": np.int64(10),
+            },
+            "flags": np.array([True, False]),
+            "counts": np.arange(3),
+            "empty": np.empty((0, 3)),
+            "detection": {"flagged_elements": [(1, 2, np.float64(4.5)), (3, 3, float("inf"))],
+                          "candidate_locations": [(1, 1)], "note": "aliasing \u00e9", "detected": True},
+            "nested": [[1.0, [float("-inf"), (float("nan"), None)]], (), {"b": np.float64(-np.inf), "a": 1}],
+            "threshold": 3.0,
+            "none": None,
+        }
+        old = tmp_path / "old.json"
+        with open(old, "w", encoding="utf-8") as handle:
+            json.dump(jsonify(payload), handle, sort_keys=True, indent=2, allow_nan=False)
+            handle.write("\n")
+        new = tmp_path / "new.json"
+        write_report(str(new), payload)
+        assert new.read_bytes() == old.read_bytes()
 
     def test_plot_grids(self, tmp_path):
         path = str(tmp_path / "grids.csv")

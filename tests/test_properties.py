@@ -1,6 +1,7 @@
 """Property tests: the consistency identity and its symmetries on random
 stacks, the plates' Stokes rotations against their Jones matrices, the
-measurement-file loader on random and fuzzed input, and fuzzed configs."""
+vector scores against their matrix forms, the measurement-file loader on
+random and fuzzed input, and fuzzed configs."""
 
 import re
 
@@ -22,16 +23,20 @@ from spamtomo import (  # noqa: E402
     apply_gauge,
     config_from_dict,
     delta_statistics,
+    density_from_stokes,
     detect,
+    fidelity,
     load_measurements,
     measurement_observable,
     partial_determinant,
+    povm_from_observable,
     prepare_state,
+    relative_error,
     save_measurements,
     source_density,
 )
 from spamtomo.config import _KNOWN_KEYS  # noqa: E402
-from conftest import sample_invertible, sample_stokes_ball  # noqa: E402
+from conftest import matrix_fidelity, matrix_relative_error, sample_invertible, sample_stokes_ball  # noqa: E402
 from test_optics import jones_observable, jones_state  # noqa: E402
 
 
@@ -221,6 +226,31 @@ VALUES = st.recursive(
         st.sampled_from(["prep", "setting", "hwp_offset", "x"]) | st.text(max_size=3), children, max_size=4),
     max_leaves=20,
 )
+
+
+DIRECTION = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda u: np.linalg.norm(u) > 0.1)
+# Pure states, or mixed ones at most 1 - 1e-6 from the centre: nearer the
+# sphere, fidelity's square root of 1 - |s|^2 turns the roundoff of any
+# float evaluation (the oracle's too) into errors above 1e-12.
+RADIUS = st.one_of(st.just(1.0), st.floats(0.0, 1.0 - 1e-6))
+
+
+@st.composite
+def ball_vectors(draw):
+    u = np.array(draw(DIRECTION))
+    return u / np.linalg.norm(u) * draw(RADIUS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(ball_vectors(), ball_vectors()), min_size=1, max_size=6))
+def test_vector_scores_match_matrix_oracle(pairs):
+    s = np.array([a for a, _ in pairs])
+    t = np.array([b for _, b in pairs])
+    fids, errors = fidelity(s, t), relative_error(s, t)
+    for k in range(len(pairs)):
+        assert fids[k] == pytest.approx(matrix_fidelity(density_from_stokes(s[k]), density_from_stokes(t[k])), abs=1e-12)
+        oracle = matrix_relative_error(povm_from_observable(s[k]).e, povm_from_observable(t[k]).e)
+        assert errors[k] == pytest.approx(oracle, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,6 +7,7 @@ from spamtomo import (
     PAULI,
     NonPhysicalError,
     PovmPair,
+    ShapeError,
     SingularMatrixError,
     apply_gauge,
     born_probability,
@@ -19,7 +20,7 @@ from spamtomo import (
     relative_error,
     stokes_from_density,
 )
-from conftest import sample_density, sample_invertible, sample_stokes_ball
+from conftest import matrix_fidelity, matrix_relative_error, sample_invertible, sample_stokes_ball
 
 RHO_H = np.diag([1.0, 0.0]).astype(complex)
 RHO_V = np.diag([0.0, 1.0]).astype(complex)
@@ -175,60 +176,117 @@ def _fidelity_oracle(a, b):
     return float(np.real(np.trace(inner)) ** 2)
 
 
+S_H = np.array([0.0, 0.0, 1.0])
+S_V = np.array([0.0, 0.0, -1.0])
+S_M = np.array([0.0, 0.0, 0.5])
+
+
 class TestFidelity:
     def test_self_fidelity(self, rng):
-        for _ in range(1000):
-            rho = sample_density(rng)
-            assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
+        s = sample_stokes_ball(rng, 1000)
+        np.testing.assert_allclose(fidelity(s, s), 1.0, atol=1e-12)
 
     def test_orthogonal_pure_states(self):
-        assert fidelity(RHO_H, RHO_V) == pytest.approx(0.0, abs=1e-12)
+        assert fidelity(S_H, S_V) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_versus_mixed(self):
         # for pure a the fidelity reduces to <psi| b |psi> = 3/4
-        assert fidelity(RHO_H, RHO_M) == pytest.approx(0.75, abs=1e-12)
+        assert fidelity(S_H, S_M) == pytest.approx(0.75, abs=1e-12)
         assert _fidelity_oracle(RHO_H, RHO_M) == pytest.approx(0.75, abs=1e-9)
 
     def test_matches_matrix_square_root_oracle(self, rng):
-        for _ in range(300):
-            a, b = sample_density(rng), sample_density(rng)
-            assert fidelity(a, b) == pytest.approx(_fidelity_oracle(a, b), abs=1e-8)
+        s, t = sample_stokes_ball(rng, 300), sample_stokes_ball(rng, 300)
+        f = fidelity(s, t)
+        for k in range(300):
+            oracle = _fidelity_oracle(density_from_stokes(s[k]), density_from_stokes(t[k]))
+            assert f[k] == pytest.approx(oracle, abs=1e-8)
+            assert f[k] == pytest.approx(
+                matrix_fidelity(density_from_stokes(s[k]), density_from_stokes(t[k])), abs=1e-12
+            )
 
     def test_bounds_and_symmetry(self, rng):
-        for _ in range(1000):
-            a, b = sample_density(rng), sample_density(rng)
-            f = fidelity(a, b)
-            assert 0.0 <= f <= 1.0
-            assert f == pytest.approx(fidelity(b, a), abs=1e-12)
+        s, t = sample_stokes_ball(rng, 1000), sample_stokes_ball(rng, 1000)
+        f = fidelity(s, t)
+        assert np.all((0.0 <= f) & (f <= 1.0))
+        np.testing.assert_allclose(f, fidelity(t, s), atol=1e-12)
 
     def test_rejects_non_psd(self):
+        # the non-PSD "state" diag(1.5, -0.5) has Stokes vector (0, 0, 2)
         with pytest.raises(NonPhysicalError):
-            fidelity(np.diag([1.5, -0.5]), RHO_H)
+            fidelity([0.0, 0.0, 2.0], S_H)
+        with pytest.raises(NonPhysicalError):
+            fidelity(S_H, [0.8, 0.8, 0.8])
+        with pytest.raises(NonPhysicalError):
+            fidelity([np.nan, 0.0, 0.0], S_H)
 
-    def test_povm_element_fidelity_normalizes(self):
-        # scaling an element must not change the comparison
-        e = povm_from_observable([0, 0.6, 0]).e
-        assert povm_element_fidelity(0.5 * e / np.trace(0.5 * e).real * 1.0, e) == pytest.approx(
-            1.0, abs=1e-9
-        )
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ShapeError):
+            fidelity(np.zeros((2, 3)), np.zeros((3, 3)))
+        with pytest.raises(ShapeError):
+            fidelity(np.zeros(2), np.zeros(2))
+
+    def test_pure_state_is_stable(self, rng):
+        # a pure state's fidelity is 1 with its own vector and with a copy
+        # moved by one ulp, and (1 + s.t)/2 against a mixed t for both; the
+        # determinant form was off by up to 1e-8 against mixed states
+        mixed = sample_stokes_ball(rng, 203) * 0.9
+        for s, t in zip(np.vstack([np.eye(3), sample_stokes_ball(rng, 200)]), mixed):
+            s = s / np.linalg.norm(s)
+            moved = s.copy()
+            k = np.argmax(np.abs(s))
+            moved[k] = np.nextafter(moved[k], 0.0)
+            assert abs(fidelity(s, s) - 1.0) <= 1e-15
+            assert abs(fidelity(s, moved) - 1.0) <= 1e-15
+            assert abs(fidelity(moved, s) - 1.0) <= 1e-15
+            for pure in (s, moved):
+                assert abs(fidelity(pure, t) - (1.0 + pure @ t) / 2.0) <= 1e-15
+
+    def test_povm_element_fidelity_normalizes(self, rng):
+        # the trace-normalized element of w is the state with Stokes vector
+        # w, so any rescaled element compares like the state
+        w, v = sample_stokes_ball(rng, 50), sample_stokes_ball(rng, 50)
+        f = povm_element_fidelity(w, v)
+        for k in range(50):
+            e_w = 0.5 * povm_from_observable(w[k]).e
+            e_v = povm_from_observable(v[k]).e
+            np.testing.assert_allclose(e_w / np.trace(e_w).real, density_from_stokes(w[k]), atol=1e-15)
+            assert f[k] == pytest.approx(
+                matrix_fidelity(e_w / np.trace(e_w).real, e_v / np.trace(e_v).real), abs=1e-12
+            )
+        assert povm_element_fidelity([0, 0.6, 0], [0, 0.6, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRelativeError:
     def test_zero_for_equal(self):
-        assert relative_error(RHO_M, RHO_M) == pytest.approx(0.0, abs=1e-12)
+        assert relative_error(S_M, S_M) == pytest.approx(0.0, abs=1e-12)
 
     def test_doubling(self):
-        assert relative_error(2 * RHO_H, RHO_H) == pytest.approx(1.0, abs=1e-12)
+        # |E_H - 1/2| / |1/2| = 1 for the H projector against the blind
+        # detector w = 0; 2|H><H| against |H><H| (a biased element) gives
+        # 1 on the matrix oracle
+        assert relative_error(S_H, [0.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
+        assert matrix_relative_error(povm_from_observable(S_H).e, IDENTITY_2 / 2) == pytest.approx(1.0, abs=1e-12)
+        assert matrix_relative_error(2 * RHO_H, RHO_H) == pytest.approx(1.0, abs=1e-12)
 
     def test_swapped_projectors(self):
         # ||diag(1,-1)|| / ||diag(0,1)|| = sqrt(2)
-        assert relative_error(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(
-            np.sqrt(2), abs=1e-12
-        )
+        assert relative_error(S_H, S_V) == pytest.approx(np.sqrt(2), abs=1e-12)
+
+    def test_matches_matrix_oracle(self, rng):
+        w, v = sample_stokes_ball(rng, 300), sample_stokes_ball(rng, 300)
+        err = relative_error(w, v)
+        for k in range(300):
+            oracle = matrix_relative_error(povm_from_observable(w[k]).e, povm_from_observable(v[k]).e)
+            assert err[k] == pytest.approx(oracle, abs=1e-12)
 
     def test_rejects_zero_reference(self):
+        # no unbiased element has zero norm (the blind detector is 1/2),
+        # so the vector form only rejects vectors outside the ball
+        assert relative_error([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]) == 0.0
         with pytest.raises(NonPhysicalError):
-            relative_error(RHO_H, np.zeros((2, 2)))
+            relative_error(S_H, [0.0, 0.0, 1.5])
+        with pytest.raises(NonPhysicalError):
+            relative_error([1.0, 1.0, 0.0], S_H)
 
 
 class TestGauge:

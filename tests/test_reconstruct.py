@@ -18,7 +18,7 @@ from spamtomo import (
     theoretical_observables,
     true_expectation_matrix,
 )
-from conftest import sample_invertible, sample_stokes_ball
+from conftest import matrix_fidelity, matrix_relative_error, sample_invertible, sample_stokes_ball
 
 
 def noiseless_plan(seed=0):
@@ -156,25 +156,42 @@ class TestLoopBootstrap:
 
 class TestScore:
     def test_perfect_reconstruction(self):
-        states = [density_from_stokes(s) for s in sample_stokes_ball(np.random.default_rng(3), 4)]
-        povms = [povm_from_observable(w).e for w in sample_stokes_ball(np.random.default_rng(4), 3)]
+        states = sample_stokes_ball(np.random.default_rng(3), 4)
+        povms = sample_stokes_ball(np.random.default_rng(4), 3)
         score = score_reconstruction(states, states, povms, povms)
-        assert all(f == pytest.approx(1.0, abs=1e-9) for f in score.fidelities)
+        assert all(f == pytest.approx(1.0, abs=1e-12) for f in score.fidelities)
         assert all(e == pytest.approx(0.0, abs=1e-12) for e in score.relative_errors)
         assert score.renormalized_flags == (False,) * 7
 
+    def test_matches_matrix_oracle(self, rng):
+        rec_states, ref_states = sample_stokes_ball(rng, 4), sample_stokes_ball(rng, 4)
+        rec_povms, ref_povms = sample_stokes_ball(rng, 3), sample_stokes_ball(rng, 3)
+        score = score_reconstruction(rec_states, ref_states, rec_povms, ref_povms)
+        expected = [matrix_fidelity(density_from_stokes(a), density_from_stokes(b))
+                    for a, b in zip(rec_states, ref_states)]
+        elements = [(povm_from_observable(a).e, povm_from_observable(b).e) for a, b in zip(rec_povms, ref_povms)]
+        expected += [matrix_fidelity(a / np.trace(a).real, b / np.trace(b).real) for a, b in elements]
+        np.testing.assert_allclose(score.fidelities, expected, atol=1e-12)
+        np.testing.assert_allclose(score.relative_errors, [matrix_relative_error(a, b) for a, b in elements], atol=1e-12)
+        assert all(isinstance(f, float) for f in score.fidelities + score.relative_errors)
+
     def test_permutation_equivariance(self, rng):
-        states = [density_from_stokes(s) for s in sample_stokes_ball(rng, 3)]
-        refs = [density_from_stokes(s) for s in sample_stokes_ball(rng, 3)]
-        forward = score_reconstruction(states, refs, [], [])
-        backward = score_reconstruction(states[::-1], refs[::-1], [], [])
+        states = sample_stokes_ball(rng, 3)
+        refs = sample_stokes_ball(rng, 3)
+        none = np.empty((0, 3))
+        forward = score_reconstruction(states, refs, none, none)
+        backward = score_reconstruction(states[::-1], refs[::-1], none, none)
         assert forward.fidelities == backward.fidelities[::-1]
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            score_reconstruction([np.eye(2) / 2], [], [], [])
+            score_reconstruction(np.zeros((1, 3)), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)))
+        with pytest.raises(ShapeError):
+            score_reconstruction(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
+        with pytest.raises(ShapeError):
+            score_reconstruction(np.zeros(3), np.zeros(3), np.empty((0, 3)), np.empty((0, 3)))
 
     def test_flags_carried_through(self):
-        rho = np.eye(2, dtype=complex) / 2
-        score = score_reconstruction([rho], [rho], [], [], renormalized_flags=[True])
+        s = np.zeros((1, 3))
+        score = score_reconstruction(s, s, np.empty((0, 3)), np.empty((0, 3)), renormalized_flags=[True])
         assert score.renormalized_flags == (True,)
