@@ -41,7 +41,6 @@ from .optics import (
     default_settings,
     measurement_observable,
     prepare_state,
-    repetition_rng,
     run_experiment,
     source_density,
     theoretical_observables,

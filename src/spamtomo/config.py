@@ -235,6 +235,9 @@ def _parse_injections(raw):
     return tuple(injections)
 
 
+# RunConfig is frozen, so one validated default serves every call.
+_DEFAULT_CONFIG = RunConfig()
+
 _KNOWN_KEYS = {
     "mode", "scheme", "state", "seed", "shots", "angle_jitter_sigma", "repetitions",
     "threshold", "prep_angles", "meas_angles", "error_injections", "known_povms",
@@ -242,7 +245,7 @@ _KNOWN_KEYS = {
 }
 
 
-def config_from_dict(raw, base=None):
+def config_from_dict(raw, base=_DEFAULT_CONFIG):
     """Build a :class:`RunConfig` from a parsed JSON document."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -250,7 +253,6 @@ def config_from_dict(raw, base=None):
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}", field=sorted(unknown)[0])
 
-    base = base if base is not None else RunConfig()
     scheme = _parse_enum(Scheme, raw, "scheme", base.scheme)
     shots = raw.get("shots", base.shots_per_setting)
     if isinstance(shots, str):

@@ -24,7 +24,7 @@ from .errors import DataFormatError, SpamTomoError
 from .optics import Scheme
 
 MEASUREMENTS_SCHEMA = "spamtomo-measurements v1"
-REPORT_SCHEMA = "spamtomo-report v2"
+REPORT_SCHEMA = "spamtomo-report v3"
 PLOTGRID_SCHEMA = "spamtomo-plotgrid v1"
 
 

@@ -24,9 +24,10 @@ the circular basis, and the third the diagonal basis.
 Noise has two independent, configurable knobs: binomial counting noise
 from a finite photon budget per setting, and Gaussian wave-plate angle
 jitter redrawn once per plate per repetition (slow drift between
-sequential runs).  Every repetition derives its own random stream from
-``(seed, repetition index)``, so results do not depend on evaluation
-order or on how repetitions are grouped into blocks, and are
+sequential runs).  A run draws them from two streams spawned from its
+seed, one for jitter and one for counts, each read in repetition order,
+so samples do not depend on how repetitions are grouped into blocks, a
+run's first k repetitions equal a k-repetition run, and every run is
 reproducible bit for bit.
 """
 
@@ -285,12 +286,6 @@ class ExperimentPlan:
                 )
 
 
-def repetition_rng(seed, repetition):
-    """Independent random stream for one repetition of an experiment."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(repetition,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def _injection_offset(plan, a, i):
     return sum(
         err.hwp_offset
@@ -339,9 +334,9 @@ def theoretical_observables(plan):
     return np.array(_meas_vectors(*_plate_angles(plan.meas_settings)))
 
 
-# Repetitions simulated together.  A block's generators, jitter draws and
-# intermediate arrays are alive at once, so this bounds the memory a long
-# record needs beyond its output; the streams do not depend on it.
+# Repetitions simulated together.  A block's jitter draws and intermediate
+# arrays are alive at once, so this bounds the memory a long record needs
+# beyond its output; the samples do not depend on it.
 BLOCK_REPETITIONS = 256
 
 
@@ -352,20 +347,27 @@ def run_experiment(plan):
     noiseless matrices (with injected errors) of a block of repetitions
     are then evaluated as one ``(block, M, N)`` array, and each element is
     sampled with counting noise.  Returns the ``(R, M, N)`` array, one MxN
-    matrix per repetition.  Jitter draws come first in each repetition's
-    stream (preparation plates in order, quarter before half, then
-    measurement plates), then the counting draws in row-major element
-    order.
+    matrix per repetition.
+
+    ``SeedSequence(seed).spawn(2)`` gives a jitter stream and a counts
+    stream.  Repetition k takes draws ``k*2(M+N)`` onwards of the jitter
+    stream: preparation plates in order, quarter before half, then
+    measurement plates.  Its counts follow all earlier repetitions' counts
+    on the counts stream, in row-major element order.
     """
     m, n = len(plan.prep_settings), len(plan.meas_settings)
     prep_q, prep_h = _plate_angles(plan.prep_settings)
     meas_q, meas_h = _plate_angles(plan.meas_settings)
     shots = plan.noise.shots_per_setting
-    samples = np.empty((plan.repetitions, m, n))
+    try:
+        samples = np.empty((plan.repetitions, m, n))
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's largest dimension
+        raise ConfigError(f"repetitions={plan.repetitions} is too large to hold in memory", field="repetitions") from None
+    streams = np.random.SeedSequence(plan.noise.seed).spawn(2)
+    jitter, counts = (np.random.Generator(np.random.PCG64(s)) for s in streams)
     for start in range(0, plan.repetitions, BLOCK_REPETITIONS):
         block = samples[start : start + BLOCK_REPETITIONS]
-        rngs = [repetition_rng(plan.noise.seed, rep) for rep in range(start, start + len(block))]
-        eps = np.array([rng.standard_normal(2 * (m + n)) for rng in rngs]) * plan.noise.angle_jitter_sigma
+        eps = jitter.standard_normal((len(block), 2 * (m + n))) * plan.noise.angle_jitter_sigma
         block[...] = _expectation_matrix(
             plan,
             prep_q + eps[:, 0 : 2 * m : 2],
@@ -376,8 +378,7 @@ def run_experiment(plan):
         if shots is not None:
             # probabilities, then counts, in the block's own buffer
             np.clip((1.0 + block) / 2.0, 0.0, 1.0, out=block)
-            for rng, p in zip(rngs, block):
-                p[...] = rng.binomial(shots, p)
+            block[...] = counts.binomial(shots, block)
     if shots is not None:
         samples *= 2.0
         samples /= shots

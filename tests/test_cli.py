@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from spamtomo import ConfigError, load_config, run
 from spamtomo.cli import build_parser, main
 
 
@@ -111,6 +112,16 @@ class TestCli:
         config = write_config(tmp_path, {"seed": 3, "repetitions": 1})
         assert main(["analyze", "--config", config, "--out", str(tmp_path / "out")]) == 1
         assert "repetitions" in capsys.readouterr().err
+
+    # too many bytes to allocate; beyond numpy's largest array dimension
+    @pytest.mark.parametrize("repetitions", [10**13, 10**20])
+    def test_record_too_large_exit_code(self, tmp_path, capsys, repetitions):
+        config = write_config(tmp_path, {"repetitions": repetitions})
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: repetitions={repetitions} is too large")
+        with pytest.raises(ConfigError) as exc:
+            run(load_config(config))
+        assert exc.value.field == "repetitions"
 
     def test_scheme_flag_replaces_file_angles(self, tmp_path):
         # six angle pairs fit the file's 2n scheme; --scheme n+1 falls back

@@ -193,7 +193,7 @@ class TestReports:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "report.json")
         payload = {
-            "schema": "spamtomo-report v2",
+            "schema": "spamtomo-report v3",
             "scheme": "2n",
             "threshold": 3.0,
             "delta_stats": {
@@ -251,7 +251,7 @@ class TestReports:
             return obj
 
         payload = {
-            "schema": "spamtomo-report v2",
+            "schema": "spamtomo-report v3",
             "samples": np.random.default_rng(5).uniform(-1, 1, (3, 4, 4)),
             "delta_stats": {
                 "mean": np.array([[0.1, -0.0, 1e-300], [2.5e-17, 1.0, -1.0], [0.0, 3.0, 7.0]]),

@@ -17,7 +17,6 @@ from spamtomo import (
     default_settings,
     measurement_observable,
     prepare_state,
-    repetition_rng,
     run_experiment,
     source_density,
     stokes_from_density,
@@ -245,24 +244,26 @@ class TestSampleExpectation:
 
 
 def reference_repetition(plan, rep):
-    """Repetition ``rep`` of ``run_experiment`` rebuilt from its own stream,
-    one draw at a time: the jitter of each preparation plate pair (quarter
-    before half), then of each measurement pair, then one binomial count
-    per element in row-major order."""
-    rng = repetition_rng(plan.noise.seed, rep)
+    """Repetition ``rep`` of ``run_experiment`` rebuilt one draw at a time
+    from the run's two streams, ``SeedSequence(seed).spawn(2)``.  Each
+    repetition up to ``rep`` takes its next jitter draws from the first
+    stream (each preparation plate pair, quarter before half, then each
+    measurement pair), and its binomial counts, one per element in
+    row-major order, from the second, after all earlier repetitions'."""
+    jitter, counts = (np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(plan.noise.seed).spawn(2))
     sigma = plan.noise.angle_jitter_sigma
-    angles = [*_plate_angles(plan.prep_settings), *_plate_angles(plan.meas_settings)]
-    for quarter, half in (angles[:2], angles[2:]):
-        for k in range(len(quarter)):
-            quarter[k] += rng.standard_normal() * sigma
-            half[k] += rng.standard_normal() * sigma
-    values = _expectation_matrix(plan, *angles)
     shots = plan.noise.shots_per_setting
-    if shots is None:
-        return values
-    p = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
-    counts = np.array([[rng.binomial(shots, p_ai) for p_ai in row] for row in p])
-    return 2.0 * counts / shots - 1.0
+    for _ in range(rep + 1):
+        angles = [*_plate_angles(plan.prep_settings), *_plate_angles(plan.meas_settings)]
+        for quarter, half in (angles[:2], angles[2:]):
+            for k in range(len(quarter)):
+                quarter[k] += jitter.standard_normal() * sigma
+                half[k] += jitter.standard_normal() * sigma
+        values = _expectation_matrix(plan, *angles)
+        if shots is not None:
+            p = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
+            values = 2.0 * np.array([[counts.binomial(shots, p_ai) for p_ai in row] for row in p]) / shots - 1.0
+    return values
 
 
 class TestRunExperiment:
@@ -319,9 +320,9 @@ class TestRunExperiment:
 
     def test_generators_do_not_accumulate(self):
         # beyond the output array, a long record's peak memory is one
-        # block's worth (generators, jitter, intermediates), whatever R is;
-        # holding every generator at once (about 1.3 KB each) grew it by
-        # about 1.8 MB per 1000 repetitions
+        # block's worth (jitter, intermediates), whatever R is; holding a
+        # generator per repetition (about 1.3 KB each) grew it by about
+        # 1.8 MB per 1000 repetitions
         def overhead(repetitions):
             plan = ExperimentPlan(noise=NoiseModel(seed=3), repetitions=repetitions)
             tracemalloc.start()

@@ -1,7 +1,8 @@
 """Property tests: the consistency identity and its symmetries on random
 stacks, the plates' Stokes rotations against their Jones matrices, the
 vector scores against their matrix forms, the measurement-file loader on
-random and fuzzed input, and fuzzed configs."""
+random and fuzzed input, fuzzed configs, and the simulator's samples
+against the run length and block size."""
 
 import re
 
@@ -16,12 +17,15 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from spamtomo import (  # noqa: E402
     ConfigError,
     DataFormatError,
+    ExperimentPlan,
+    NoiseModel,
     RunConfig,
     Scheme,
     SourceKind,
     WavePlateSetting,
     apply_gauge,
     config_from_dict,
+    default_settings,
     delta_statistics,
     density_from_stokes,
     detect,
@@ -32,9 +36,11 @@ from spamtomo import (  # noqa: E402
     povm_from_observable,
     prepare_state,
     relative_error,
+    run_experiment,
     save_measurements,
     source_density,
 )
+from spamtomo import optics  # noqa: E402
 from spamtomo.config import _KNOWN_KEYS  # noqa: E402
 from conftest import matrix_fidelity, matrix_relative_error, sample_invertible, sample_stokes_ball  # noqa: E402
 from test_optics import jones_observable, jones_state  # noqa: E402
@@ -264,3 +270,36 @@ def test_fuzzed_configs_validate_or_are_rejected(raw):
         assert re.split(r"[\[.]", exc.field)[0] in raw
         return
     assert isinstance(config, RunConfig)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    scheme=st.sampled_from(list(Scheme)),
+    source=st.sampled_from(list(SourceKind)),
+    shots=st.none() | st.integers(1, 10**6),
+    jitter=st.sampled_from([0.0, 0.0113, 0.05]),
+    reps=st.integers(1, 12),
+    data=st.data(),
+)
+def test_samples_independent_of_run_length_and_blocks(seed, scheme, source, shots, jitter, reps, data):
+    # the first k repetitions of a run are a k-repetition run, and the
+    # block size only groups the draws
+    k = data.draw(st.integers(1, reps), label="k")
+    block = data.draw(st.integers(1, reps + 1), label="block")
+
+    def plan(repetitions):
+        return ExperimentPlan(
+            source=source,
+            scheme=scheme,
+            prep_settings=default_settings(scheme),
+            meas_settings=default_settings(scheme),
+            noise=NoiseModel(shots_per_setting=shots, angle_jitter_sigma=jitter, seed=seed),
+            repetitions=repetitions,
+        )
+
+    whole = run_experiment(plan(reps))
+    assert np.array_equal(whole[:k], run_experiment(plan(k)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optics, "BLOCK_REPETITIONS", block)
+        assert np.array_equal(run_experiment(plan(reps)), whole)
