@@ -311,10 +311,13 @@ def load_config(path, overrides=None):
     defaults apply.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops a leading byte-order mark, which json rejects
+        with open(path, "r", encoding="utf-8-sig") as handle:
             raw = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"configuration file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"configuration file is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if overrides and isinstance(raw, dict):

@@ -24,7 +24,7 @@ from .errors import DataFormatError, SpamTomoError
 from .optics import Scheme
 
 MEASUREMENTS_SCHEMA = "spamtomo-measurements v1"
-REPORT_SCHEMA = "spamtomo-report v3"
+REPORT_SCHEMA = "spamtomo-report v4"
 PLOTGRID_SCHEMA = "spamtomo-plotgrid v1"
 
 
@@ -97,10 +97,11 @@ def load_measurements(path):
     Entries are validated to lie within [-1, 1] (tolerance 1e-9; NaN and
     infinities fail); any malformed row or out-of-range value is reported
     with its block, row and column (all 1-based).  Structure and parse
-    errors are reported in file order, before any range error.
+    errors are reported in file order, before any range error.  A leading
+    UTF-8 byte-order mark is ignored.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             raw_lines = handle.read().splitlines()
     except FileNotFoundError:
         raise DataFormatError(f"measurement file not found: {path}") from None

@@ -349,6 +349,13 @@ def run_experiment(plan):
     sampled with counting noise.  Returns the ``(R, M, N)`` array, one MxN
     matrix per repetition.
 
+    With ``N`` shots per setting, an element whose transmitted port counts
+    ``k`` photons becomes the sample ``(N+ - N-)/N = (2k - N)/N``: the
+    double nearest that fraction, since ``2k - N`` is an exact integer
+    (for ``N`` up to 2**53) divided once.  At the default budget of
+    10 000 shots, ``repr`` thus writes every sample with at most four
+    decimals.  Analytic runs (``N`` is None) keep the noiseless values.
+
     ``SeedSequence(seed).spawn(2)`` gives a jitter stream and a counts
     stream.  Repetition k takes draws ``k*2(M+N)`` onwards of the jitter
     stream: preparation plates in order, quarter before half, then
@@ -380,7 +387,8 @@ def run_experiment(plan):
             np.clip((1.0 + block) / 2.0, 0.0, 1.0, out=block)
             block[...] = counts.binomial(shots, block)
     if shots is not None:
+        # an exact integer numerator, then one correctly rounded division
         samples *= 2.0
+        samples -= shots
         samples /= shots
-        samples -= 1.0
     return samples

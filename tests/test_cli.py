@@ -62,6 +62,42 @@ class TestCli:
         )
         assert code == 0
 
+    def test_analyze_data_with_byte_order_mark(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            {"seed": 5, "error_injections": [{"prep": 1, "setting": 1, "hwp_offset": "pi/4"}]},
+        )
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "a")]) == 0
+        plain = tmp_path / "a" / "measurements.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        capsys.readouterr()
+        verdicts = []
+        for data, out in ((plain, "b"), (marked, "c")):
+            code = main(["analyze", "--data", str(data), "--out", str(tmp_path / out)])
+            verdicts.append((code, capsys.readouterr().out.splitlines()[:2]))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0][0] == 2
+
+    def test_non_utf8_data_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"# spamtomo-measurements v1 scheme=n+1 blocks=1\n\xff\xfe\n")
+        assert main(["analyze", "--data", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 3}).encode())
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+        assert main(["simulate", "--seed", "3", "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "measurements.csv").read_bytes() == (tmp_path / "b" / "measurements.csv").read_bytes()
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: configuration file is not UTF-8 text")
+
     def test_error_exit_code(self, tmp_path, capsys):
         code = main(["analyze", "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
         assert code == 1

@@ -68,6 +68,41 @@ class TestMeasurementsRoundTrip:
         loaded, scheme = load_measurements(path)
         assert scheme is Scheme.TWO_N and loaded.shape == (0, 6, 6)
 
+    def test_double_rounded_values_load_bit_exact(self, tmp_path):
+        # samples as earlier versions simulated them, 2k/N - 1 rounded
+        # twice: 17-digit values one ulp off the four-decimal fractions
+        text = """\
+# spamtomo-measurements v1 scheme=n+1 blocks=2
+0.9934000000000001,0.07679999999999998,0.01540000000000008,0.8488
+0.03400000000000003,-0.9908,0.09919999999999995,0.3320000000000001
+-0.027000000000000024,0.052200000000000024,0.9990000000000001,0.35660000000000003
+0.8612,0.3206,0.39280000000000004,0.8240000000000001
+
+0.9936,0.07440000000000002,-0.008000000000000007,0.8444
+0.020999999999999908,-0.9882,-0.0736,0.2669999999999999
+0.009600000000000053,-0.08399999999999996,1.0,0.37359999999999993
+0.8324,0.35620000000000007,0.37240000000000006,0.7587999999999999
+"""
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        loaded, scheme = load_measurements(str(path))
+        expected = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:] if line]
+        assert scheme is Scheme.N_PLUS_ONE
+        assert np.array_equal(loaded, np.reshape(expected, (2, 4, 4)))
+        assert loaded[0, 2, 2] != 0.999 and loaded[0, 2, 2] == 0.9990000000000001
+        save_measurements(str(path), loaded, scheme)
+        assert path.read_text() == text.rstrip("\n") + "\n"
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # spreadsheet exports begin with a UTF-8 byte-order mark
+        path = tmp_path / "m.csv"
+        blocks = simulated_blocks(Scheme.N_PLUS_ONE, repetitions=3)
+        save_measurements(str(path), blocks, Scheme.N_PLUS_ONE)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded, scheme = load_measurements(str(path))
+        assert scheme is Scheme.N_PLUS_ONE
+        assert np.array_equal(loaded, blocks)
+
     def test_reanalysis_identical(self, tmp_path):
         # saving at repr precision keeps the statistics bit-identical
         path = str(tmp_path / "m.csv")

@@ -249,7 +249,8 @@ def reference_repetition(plan, rep):
     repetition up to ``rep`` takes its next jitter draws from the first
     stream (each preparation plate pair, quarter before half, then each
     measurement pair), and its binomial counts, one per element in
-    row-major order, from the second, after all earlier repetitions'."""
+    row-major order, from the second, after all earlier repetitions'.
+    A count ``k`` of ``N`` shots gives the sample ``(2k - N)/N``."""
     jitter, counts = (np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(plan.noise.seed).spawn(2))
     sigma = plan.noise.angle_jitter_sigma
     shots = plan.noise.shots_per_setting
@@ -262,7 +263,8 @@ def reference_repetition(plan, rep):
         values = _expectation_matrix(plan, *angles)
         if shots is not None:
             p = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
-            values = 2.0 * np.array([[counts.binomial(shots, p_ai) for p_ai in row] for row in p]) / shots - 1.0
+            counted = np.array([[counts.binomial(shots, p_ai) for p_ai in row] for row in p], dtype=float)
+            values = (2.0 * counted - shots) / shots
     return values
 
 

@@ -2,7 +2,7 @@
 stacks, the plates' Stokes rotations against their Jones matrices, the
 vector scores against their matrix forms, the measurement-file loader on
 random and fuzzed input, fuzzed configs, and the simulator's samples
-against the run length and block size."""
+against the run length and block size and as count fractions."""
 
 import re
 
@@ -303,3 +303,31 @@ def test_samples_independent_of_run_length_and_blocks(seed, scheme, source, shot
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optics, "BLOCK_REPETITIONS", block)
         assert np.array_equal(run_experiment(plan(reps)), whole)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    scheme=st.sampled_from(list(Scheme)),
+    source=st.sampled_from(list(SourceKind)),
+    shots=st.sampled_from([1, 3, 7, 500, 10_000, 2**40]),
+    jitter=st.sampled_from([0.0, optics.DEFAULT_ANGLE_JITTER]),
+    reps=st.integers(1, 4),
+)
+def test_samples_are_correctly_rounded_count_fractions(seed, scheme, source, shots, jitter, reps):
+    # a count k of N shots is the sample (N+ - N-)/N = (2k - N)/N, the
+    # double nearest that fraction, not 2k/N - 1 rounded twice
+    plan = ExperimentPlan(
+        source=source,
+        scheme=scheme,
+        prep_settings=default_settings(scheme),
+        meas_settings=default_settings(scheme),
+        noise=NoiseModel(shots_per_setting=shots, angle_jitter_sigma=jitter, seed=seed),
+        repetitions=reps,
+    )
+    for s in run_experiment(plan).ravel().tolist():
+        k = round((s + 1) * shots / 2)
+        assert 0 <= k <= shots
+        assert s == (2.0 * k - shots) / shots
+        if shots == 10_000:
+            assert re.fullmatch(r"-?[01]\.\d{1,4}", repr(s)), repr(s)

@@ -100,7 +100,7 @@ class TestOutputs:
         for kind in ("report", "measurements", "plot_grids", "timing"):
             assert os.path.exists(paths[kind]), kind
         payload = json.load(open(paths["report"]))
-        assert payload["schema"] == "spamtomo-report v3"
+        assert payload["schema"] == "spamtomo-report v4"
         assert payload["exit_code"] == EXIT_CLEAN
         assert payload["detection"]["detected"] is False
         assert len(payload["samples"]) == 10
@@ -151,7 +151,7 @@ class TestOutputs:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         payload = json.loads(open(paths["report"]).read(), parse_constant=reject)
-        assert payload["schema"] == "spamtomo-report v3"
+        assert payload["schema"] == "spamtomo-report v4"
         assert "inf" in [v for row in payload["delta_stats"]["significance"] for v in row]
         emit_plot_data(read_report(paths["report"]), str(tmp_path / "again.csv"))
         assert open(tmp_path / "again.csv").read() == open(paths["plot_grids"]).read()
