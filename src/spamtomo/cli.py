@@ -9,7 +9,8 @@ The first argument is the run mode:
 
 Flags override the corresponding configuration keys.  The exit status is
 0 when no correlated error was found, 2 when one was detected, and 1 on
-failure.
+failure.  The argument parser is built once per process, when the module
+is imported, and every :func:`main` call parses with it.
 """
 
 import argparse
@@ -47,6 +48,12 @@ def build_parser():
     return parser
 
 
+# argparse asks for the terminal size on every add_argument, so building
+# the parser costs more than parsing with it; parsing leaves the parser
+# unchanged, so one serves every call.
+_PARSER = build_parser()
+
+
 def _configure(args):
     """The run configuration: the config file (if any) with the mode and
     flags merged over its keys, validated once."""
@@ -66,7 +73,7 @@ def _configure(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _configure(args)
         report = run(config)

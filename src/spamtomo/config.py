@@ -44,7 +44,7 @@ from .optics import (
     Scheme,
     SourceKind,
     WavePlateSetting,
-    _is_real,
+    _is_finite_real,
     default_settings,
 )
 
@@ -57,14 +57,13 @@ _PI_PATTERN = re.compile(
 
 
 def parse_angle(value, field_name="angle"):
-    """Parse an angle given as a number or a pi-fraction string."""
+    """Parse an angle given as a number or a pi-fraction string; the
+    angle must be finite."""
     if isinstance(value, bool):
         raise ConfigError(f"{field_name} must be a number or pi-fraction string, got {value!r}", field=field_name)
     if isinstance(value, (int, float)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{field_name} must be finite, got {value}", field=field_name)
-        return float(value)
-    if isinstance(value, str):
+        angle = value
+    elif isinstance(value, str):
         match = _PI_PATTERN.match(value)
         if match:
             mult = float(match.group("mult")) if match.group("mult") else 1.0
@@ -72,15 +71,20 @@ def parse_angle(value, field_name="angle"):
             sign = -1.0 if match.group("sign") == "-" else 1.0
             if div == 0:
                 raise ConfigError(f"{field_name}: division by zero in {value!r}", field=field_name)
-            return sign * mult * math.pi / div
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(
-                f"{field_name}: cannot parse {value!r} (use radians or forms like 'pi/16')",
-                field=field_name,
-            ) from None
-    raise ConfigError(f"{field_name} must be a number or string, got {type(value).__name__}", field=field_name)
+            angle = sign * mult * math.pi / div
+        else:
+            try:
+                angle = float(value)
+            except ValueError:
+                raise ConfigError(
+                    f"{field_name}: cannot parse {value!r} (use radians or forms like 'pi/16')",
+                    field=field_name,
+                ) from None
+    else:
+        raise ConfigError(f"{field_name} must be a number or string, got {type(value).__name__}", field=field_name)
+    if not _is_finite_real(angle):
+        raise ConfigError(f"{field_name} must be a finite number, got {value!r}", field=field_name)
+    return float(angle)
 
 
 def _parse_povms(raw):
@@ -89,7 +93,7 @@ def _parse_povms(raw):
         povms = np.asarray(raw, dtype=object)
     except ValueError:  # nested arrays of unequal shapes
         povms = np.empty(0, dtype=object)
-    if povms.shape != (3, 3) or not all(_is_real(v) and math.isfinite(v) for v in povms.flat):
+    if povms.shape != (3, 3) or not all(_is_finite_real(v) for v in povms.flat):
         raise ConfigError(f"known_povms must be three 3-vectors of finite numbers, got {raw!r}", field="known_povms")
     return tuple(tuple(float(v) for v in row) for row in povms)
 
@@ -118,7 +122,7 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}", field="mode")
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "source", SourceKind(self.source))
-        if not (_is_real(self.detection_threshold) and math.isfinite(self.detection_threshold) and self.detection_threshold > 0):
+        if not (_is_finite_real(self.detection_threshold) and self.detection_threshold > 0):
             raise ConfigError(f"threshold must be a finite number > 0, got {self.detection_threshold!r}", field="threshold")
         if self.input_data_path is not None and not isinstance(self.input_data_path, str):
             raise ConfigError(f"input_data must be a path string, got {self.input_data_path!r}", field="input_data")
@@ -320,6 +324,10 @@ def load_config(path, overrides=None):
         raise ConfigError(f"configuration file is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ConfigError("configuration file is nested too deeply to parse") from None
+    except ValueError as exc:  # e.g. an integer literal beyond int's digit limit
+        raise ConfigError(f"configuration parse error: {exc}") from None
     if overrides and isinstance(raw, dict):
         merged = {**raw, **overrides}
         if merged.get("scheme", RunConfig.scheme) != raw.get("scheme", RunConfig.scheme):

@@ -9,7 +9,9 @@ Measurement files carry repeated expectation matrices as CSV blocks:
 
 Values are written with ``repr`` precision so a save/load round trip is
 exact.  Reports are a single standard JSON document with a ``schema``
-field (non-finite numbers as the strings "inf", "-inf" and "nan"); the
+field (non-finite numbers as the strings "inf", "-inf" and "nan"), laid
+out canonically: sorted keys, two-space indent and one value per line,
+the same bytes as ``json.dumps(..., indent=2, sort_keys=True)``.  The
 numeric content of the statistics figures (mean, standard deviation and
 significance grids) is additionally emitted as labelled CSV for external
 plotting.
@@ -17,6 +19,7 @@ plotting.
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -145,24 +148,57 @@ def load_measurements(path):
     return stack, scheme
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist() if np.isfinite(obj).all() else _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonify(obj.item())
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)  # "inf", "-inf" or "nan"
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+def _json_text(obj, indent):
+    """The JSON text of ``obj`` as it appears in a line that starts with
+    ``indent`` (a line break and that line's indentation)."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return text if math.isfinite(obj) else f'"{text}"'  # "inf", "-inf" or "nan"
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        # A row of finite floats, such as each innermost row of a finite
+        # float array, is written in one join; a sum that is not finite
+        # means some item is not.
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            items = map(float.__repr__, obj)
+        else:
+            items = [_json_text(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        # encode_basestring_ascii raises TypeError for a key that is not a string
+        items = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, np.ndarray):
+        return _json_text(obj.tolist(), indent)
+    if isinstance(obj, (np.integer, np.floating)):
+        return _json_text(obj.item(), indent)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_report(path, report_dict):
-    """Serialize a report dictionary as canonical standard JSON (sorted
-    keys; non-finite numbers as the strings "inf", "-inf" and "nan")."""
-    text = json.dumps(_jsonify(report_dict), sort_keys=True, indent=2, allow_nan=False)
+    """Serialize a report dictionary as canonical standard JSON: sorted
+    keys, two-space indent, one value per line and ASCII only, the bytes
+    ``json.dumps(..., sort_keys=True, indent=2)`` writes for the same
+    values.  Numpy arrays and scalars are written as lists and numbers,
+    and non-finite numbers as the strings "inf", "-inf" and "nan".  A key
+    that is not a string, or a value JSON cannot represent, raises
+    ``TypeError``."""
+    text = _json_text(report_dict, "\n")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 

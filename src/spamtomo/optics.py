@@ -57,9 +57,15 @@ DEFAULT_ANGLE_JITTER = 0.0113
 DEFAULT_REPETITIONS = 10
 
 
-def _is_real(value):
-    """True for a real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_finite_real(value):
+    """True for a real number that is not a bool and is a finite float;
+    an int beyond the float range is not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class Scheme(str, enum.Enum):
@@ -234,9 +240,9 @@ class NoiseModel:
                 f"shots_per_setting must be in [1, 2**63 - 1] (or None for analytic mode), got {self.shots_per_setting}",
                 field="shots",
             )
-        if not (_is_real(self.angle_jitter_sigma) and math.isfinite(self.angle_jitter_sigma) and self.angle_jitter_sigma >= 0):
+        if not (_is_finite_real(self.angle_jitter_sigma) and self.angle_jitter_sigma >= 0):
             raise ConfigError(
-                f"angle_jitter_sigma must be a number >= 0, got {self.angle_jitter_sigma!r}",
+                f"angle_jitter_sigma must be a finite number >= 0, got {self.angle_jitter_sigma!r}",
                 field="angle_jitter_sigma",
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from spamtomo import ConfigError, load_config, run
+from spamtomo import ConfigError, RunConfig, load_config, run
 from spamtomo.cli import build_parser, main
 
 
@@ -159,6 +159,38 @@ class TestCli:
             run(load_config(config))
         assert exc.value.field == "repetitions"
 
+    # an integer beyond the float range, in each float-valued key
+    @pytest.mark.parametrize("payload,field", [
+        ({"threshold": 10**400}, "threshold"),
+        ({"angle_jitter_sigma": 10**400}, "angle_jitter_sigma"),
+        ({"prep_angles": [[10**400, 0]] + [[0, 0]] * 5}, "prep_angles[0].qwp"),
+        ({"meas_angles": [[0, 0]] * 5 + [[0, -10**400]]}, "meas_angles[5].hwp"),
+        ({"error_injections": [{"prep": 1, "setting": 1, "hwp_offset": 10**400}]}, "error_injections[0].hwp_offset"),
+        ({"known_povms": [[1, 0, 0], [0, 10**400, 0], [0, 0, 1]]}, "known_povms"),
+    ], ids=["threshold", "angle_jitter_sigma", "prep_angles", "meas_angles", "hwp_offset", "known_povms"])
+    def test_huge_integer_exit_code(self, tmp_path, capsys, payload, field):
+        config = write_config(tmp_path, payload)
+        assert main(["analyze", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ") and "finite" in err and err.count("\n") == 1
+        with pytest.raises(ConfigError) as exc:
+            load_config(config)
+        assert exc.value.field == field
+
+    def test_deeply_nested_config_exit_code(self, tmp_path, capsys):
+        depth = 100_000
+        path = tmp_path / "run.json"
+        path.write_text('{"mode": "analyze", "x": ' + "[" * depth + "]" * depth + "}")
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: configuration file is nested too deeply to parse\n"
+
+    def test_integer_beyond_digit_limit_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text('{"threshold": 1' + "0" * 5000 + "}")
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: configuration parse error: ") and err.count("\n") == 1
+
     def test_scheme_flag_replaces_file_angles(self, tmp_path):
         # six angle pairs fit the file's 2n scheme; --scheme n+1 falls back
         # to the four default pairs of the new scheme
@@ -193,6 +225,17 @@ class TestParser:
         for name in ("simulate", "analyze", "reconstruct", "full",
                      "--config", "--data", "--out", "--seed", "--threshold", "--scheme"):
             assert name in out
+
+    def test_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        assert main(["full", "--seed", "3", "--scheme", "n+1", "--out", str(tmp_path / "a")]) == 0
+        assert main(["full", "--out", str(tmp_path / "b")]) == 0
+        first, second = (json.load(open(tmp_path / out / "report.json")) for out in ("a", "b"))
+        assert (first["seed"], first["scheme"]) == (3, "n+1")
+        assert (second["seed"], second["scheme"]) == (RunConfig.seed, RunConfig.scheme.value)
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert capsys.readouterr().out == build_parser().format_help()
 
     @pytest.mark.parametrize("argv", [["bogus"], [], ["--seed", "3"], ["full", "extra"]])
     def test_bad_mode_exits_2(self, capsys, argv):

@@ -147,6 +147,12 @@ class TestLoadConfig:
             ({"known_povms": [[0, 0, 1], [0, 1, 0], ["1", 0, 0]]}, "known_povms"),
             ({"known_povms": [[0, 0, 1], [0, 1, 0], [True, 0, 0]]}, "known_povms"),
             ({"known_povms": [[0, 0, 1], [0, 1, 0], [1, 0]]}, "known_povms"),
+            # angle strings that parse to a non-finite number
+            ({"prep_angles": [["1e400", 0]] + [[0, 0]] * 5}, "prep_angles[0].qwp"),
+            ({"meas_angles": [[0, "-inf"]] + [[0, 0]] * 5}, "meas_angles[0].hwp"),
+            ({"error_injections": [{"prep": 1, "setting": 1, "hwp_offset": "nan"}]}, "error_injections[0].hwp_offset"),
+            ({"error_injections": [{"prep": 1, "setting": 1, "hwp_offset": "1" + "0" * 400 + "pi"}]},
+             "error_injections[0].hwp_offset"),
         ],
     )
     def test_rejects_unparseable_field(self, tmp_path, payload, field):

@@ -224,6 +224,22 @@ class TestMeasurementErrors:
             load_measurements(self.write(tmp_path, text))
 
 
+def oracle_jsonify(obj):
+    """Test oracle: the element-by-element conversion the report writer
+    used to pass to ``json.dump(..., sort_keys=True, indent=2)``."""
+    if isinstance(obj, np.ndarray):
+        return oracle_jsonify(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return oracle_jsonify(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {k: oracle_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_jsonify(v) for v in obj]
+    return obj
+
+
 class TestReports:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "report.json")
@@ -270,21 +286,6 @@ class TestReports:
         assert "inf,1.0,0.0" in open(grids).read()
 
     def test_bytes_equal_streaming_encoder(self, tmp_path):
-        def jsonify(obj):
-            # the element-by-element conversion the report writer used to
-            # stream through json.dump
-            if isinstance(obj, np.ndarray):
-                return jsonify(obj.tolist())
-            if isinstance(obj, (np.floating, np.integer)):
-                return jsonify(obj.item())
-            if isinstance(obj, float) and not math.isfinite(obj):
-                return repr(obj)
-            if isinstance(obj, dict):
-                return {k: jsonify(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [jsonify(v) for v in obj]
-            return obj
-
         payload = {
             "schema": "spamtomo-report v3",
             "samples": np.random.default_rng(5).uniform(-1, 1, (3, 4, 4)),
@@ -304,11 +305,24 @@ class TestReports:
         }
         old = tmp_path / "old.json"
         with open(old, "w", encoding="utf-8") as handle:
-            json.dump(jsonify(payload), handle, sort_keys=True, indent=2, allow_nan=False)
+            json.dump(oracle_jsonify(payload), handle, sort_keys=True, indent=2, allow_nan=False)
             handle.write("\n")
         new = tmp_path / "new.json"
         write_report(str(new), payload)
         assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("value", [np.bool_(True), 1j, {1, 2}, object()])
+    def test_unsupported_values_raise_type_error(self, tmp_path, value):
+        path = tmp_path / "report.json"
+        with pytest.raises(TypeError):
+            json.dumps(oracle_jsonify({"x": [value]}))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_report(str(path), {"x": [value]})
+        assert not path.exists()
+
+    def test_non_string_key_raises_type_error(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_report(str(tmp_path / "report.json"), {"a": {1: 0.5}})
 
     def test_plot_grids(self, tmp_path):
         path = str(tmp_path / "grids.csv")

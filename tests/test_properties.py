@@ -1,9 +1,12 @@
 """Property tests: the consistency identity and its symmetries on random
 stacks, the plates' Stokes rotations against their Jones matrices, the
 vector scores against their matrix forms, the measurement-file loader on
-random and fuzzed input, fuzzed configs, and the simulator's samples
-against the run length and block size and as count fractions."""
+random and fuzzed input, fuzzed configs, the simulator's samples against
+the run length and block size and as count fractions, and the report
+writer against json.dumps."""
 
+import json
+import math
 import re
 
 import numpy as np
@@ -39,10 +42,12 @@ from spamtomo import (  # noqa: E402
     run_experiment,
     save_measurements,
     source_density,
+    write_report,
 )
 from spamtomo import optics  # noqa: E402
 from spamtomo.config import _KNOWN_KEYS  # noqa: E402
 from conftest import matrix_fidelity, matrix_relative_error, sample_invertible, sample_stokes_ball  # noqa: E402
+from test_data_io import oracle_jsonify  # noqa: E402
 from test_optics import jones_observable, jones_state  # noqa: E402
 
 
@@ -225,9 +230,15 @@ VALID_PIECES = st.sampled_from([
     [["0", "0"]] * 4, [["0", "pi/8"]] * 6, [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
     [{"prep": 1, "setting": 1, "hwp_offset": "pi/20"}],
 ])
+# Integers beyond the float range, alone and in pieces of valid shape.
+HUGE = 10**400
+HUGE_PIECES = st.sampled_from([
+    HUGE, -HUGE, [[HUGE, 0]] + [[0, 0]] * 5, [[0, 0, 1], [0, HUGE, 0], [1, 0, 0]],
+    [{"prep": 1, "setting": 1, "hwp_offset": -HUGE}],
+])
 SCALARS = st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=8)
 VALUES = st.recursive(
-    SCALARS | VALID_PIECES,
+    SCALARS | VALID_PIECES | HUGE_PIECES,
     lambda children: st.lists(children, max_size=7) | st.dictionaries(
         st.sampled_from(["prep", "setting", "hwp_offset", "x"]) | st.text(max_size=3), children, max_size=4),
     max_leaves=20,
@@ -331,3 +342,38 @@ def test_samples_are_correctly_rounded_count_fractions(seed, scheme, source, sho
         assert s == (2.0 * k - shots) / shots
         if shots == 10_000:
             assert re.fullmatch(r"-?[01]\.\d{1,4}", repr(s)), repr(s)
+
+
+# -0.0, the smallest subnormal, the switches to and from exponent notation
+# in repr, the largest float and the non-finite values
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-7,
+                               0.0001, 1.7976931348623157e308, math.inf, -math.inf, math.nan])
+REPORT_FLOATS = EDGE_FLOATS | st.floats()
+FINITE_FLOATS = EDGE_FLOATS.filter(math.isfinite) | st.floats(allow_nan=False, allow_infinity=False)
+# non-ASCII, control, line-separator and non-BMP characters
+REPORT_TEXT = st.text(st.characters() | st.sampled_from("\x00\x1f\x7f\"\\\u00e9\u2028\uffff\U0001f600"), max_size=6)
+ARRAY_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+REPORT_LEAVES = (
+    st.none() | st.booleans() | st.integers(-2**80, 2**80) | REPORT_FLOATS | REPORT_TEXT
+    | st.lists(FINITE_FLOATS, max_size=6) | st.lists(REPORT_FLOATS, max_size=6)
+    | REPORT_FLOATS.map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.integers(0, 2**64 - 1).map(np.uint64)
+    | hnp.arrays(np.float64, ARRAY_SHAPES, elements=FINITE_FLOATS)
+    | st.sampled_from([np.empty((0, 3)), np.empty((2, 0)), np.zeros((2, 0), dtype=np.int64)])
+    | hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.uint8, np.bool_]), ARRAY_SHAPES)
+)
+REPORT_VALUES = st.recursive(
+    REPORT_LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(REPORT_TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.dictionaries(REPORT_TEXT, REPORT_VALUES, max_size=5))
+def test_report_bytes_equal_json_dumps(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    write_report(str(path), payload)
+    oracle = json.dumps(oracle_jsonify(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert path.read_bytes() == oracle.encode("ascii")
