@@ -38,7 +38,7 @@ def adjugate3(m):
     return adj
 
 
-def guarded_inv3(m, rtol=DET_RTOL, where="matrix"):
+def guarded_inv3(m, where="matrix"):
     """Invert a 3x3 matrix, or every matrix of a ``(..., 3, 3)`` stack,
     raising :class:`SingularMatrixError` when a determinant is not finite
     or is small relative to the matrix scale.
@@ -55,7 +55,7 @@ def guarded_inv3(m, rtol=DET_RTOL, where="matrix"):
         raise SingularMatrixError(f"{where} must be 3x3, got shape {m.shape}", where=where)
     det = det3(m)
     scale = (np.linalg.norm(m, axis=(-2, -1)) / np.sqrt(3.0)) ** 3
-    singular = ~np.isfinite(det) | (np.abs(det) <= rtol * scale)
+    singular = ~np.isfinite(det) | (np.abs(det) <= DET_RTOL * scale)
     if singular.any():
         index = tuple(np.argwhere(singular)[0])
         name, samples = (where, index) if isinstance(where, str) else (where[index[-1]], index[:-1])

@@ -24,12 +24,19 @@ package defaults.  Recognized keys:
 
 Angles may be decimal radians or strings like ``"pi/16"``, ``"5pi/16"``
 or ``"-3*pi/8"``, avoiding rounding ambiguity for the common fractions.
+
+``mode``, ``threshold``, ``known_povms``, ``input_data`` and
+``output_dir`` are settings of the run itself, the fields of a
+:class:`RunConfig`.  Every other key describes the experiment: together
+they build one :class:`~spamtomo.optics.ExperimentPlan`, validated
+before the run's own settings, which the :class:`RunConfig` holds as its
+``experiment``.
 """
 
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +52,6 @@ from .optics import (
     SourceKind,
     WavePlateSetting,
     _is_finite_real,
-    default_settings,
 )
 
 MODES = ("simulate", "analyze", "reconstruct", "full")
@@ -100,18 +106,12 @@ def _parse_povms(raw):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully validated run configuration."""
+    """A fully validated run: the experiment plan it simulates, or whose
+    settings loaded data were measured with, and what the run does with
+    the measurements."""
 
     mode: str = "full"
-    scheme: Scheme = Scheme.TWO_N
-    source: SourceKind = SourceKind.PURE_H
-    prep_settings: tuple | None = None
-    meas_settings: tuple | None = None
-    error_injections: tuple = ()
-    shots_per_setting: int | None = DEFAULT_SHOTS
-    angle_jitter_sigma: float = DEFAULT_ANGLE_JITTER
-    seed: int = 0
-    repetitions: int = DEFAULT_REPETITIONS
+    experiment: ExperimentPlan = field(default_factory=ExperimentPlan)
     detection_threshold: float = 3.0
     known_povms: tuple | None = None
     input_data_path: str | None = None
@@ -120,59 +120,38 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}", field="mode")
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
-        object.__setattr__(self, "source", SourceKind(self.source))
         if not (_is_finite_real(self.detection_threshold) and self.detection_threshold > 0):
             raise ConfigError(f"threshold must be a finite number > 0, got {self.detection_threshold!r}", field="threshold")
         if self.input_data_path is not None and not isinstance(self.input_data_path, str):
             raise ConfigError(f"input_data must be a path string, got {self.input_data_path!r}", field="input_data")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}", field="output_dir")
-        prep = self.prep_settings if self.prep_settings is not None else tuple(default_settings(self.scheme))
-        meas = self.meas_settings if self.meas_settings is not None else tuple(default_settings(self.scheme))
-        object.__setattr__(self, "prep_settings", tuple(prep))
-        object.__setattr__(self, "meas_settings", tuple(meas))
         if self.known_povms is not None:
             object.__setattr__(self, "known_povms", _parse_povms(self.known_povms))
-        # Delegates length/shots/seed checks to the plan and noise types.
-        self.plan()
-        if self.mode != "simulate" and self.input_data_path is None and self.repetitions < 2:
-            raise ConfigError(f"repetitions must be >= 2 for statistics on simulated data, got {self.repetitions}", field="repetitions")
-
-    def noise(self):
-        return NoiseModel(
-            shots_per_setting=self.shots_per_setting,
-            angle_jitter_sigma=self.angle_jitter_sigma,
-            seed=self.seed,
-        )
+        repetitions = self.experiment.repetitions
+        if self.mode != "simulate" and self.input_data_path is None and repetitions < 2:
+            raise ConfigError(f"repetitions must be >= 2 for statistics on simulated data, got {repetitions}", field="repetitions")
 
     def plan(self):
-        return ExperimentPlan(
-            source=self.source,
-            prep_settings=self.prep_settings,
-            meas_settings=self.meas_settings,
-            scheme=self.scheme,
-            errors=self.error_injections,
-            noise=self.noise(),
-            repetitions=self.repetitions,
-        )
+        return self.experiment
 
     def to_dict(self):
         """Canonical JSON-ready echo of the configuration."""
+        plan = self.experiment
         return {
             "mode": self.mode,
-            "scheme": self.scheme.value,
-            "state": self.source.value,
-            "seed": self.seed,
-            "shots": self.shots_per_setting,
-            "angle_jitter_sigma": self.angle_jitter_sigma,
-            "repetitions": self.repetitions,
+            "scheme": plan.scheme.value,
+            "state": plan.source.value,
+            "seed": plan.noise.seed,
+            "shots": plan.noise.shots_per_setting,
+            "angle_jitter_sigma": plan.noise.angle_jitter_sigma,
+            "repetitions": plan.repetitions,
             "threshold": self.detection_threshold,
-            "prep_angles": [[s.qwp_angle, s.hwp_angle] for s in self.prep_settings],
-            "meas_angles": [[s.qwp_angle, s.hwp_angle] for s in self.meas_settings],
+            "prep_angles": [[s.qwp_angle, s.hwp_angle] for s in plan.prep_settings],
+            "meas_angles": [[s.qwp_angle, s.hwp_angle] for s in plan.meas_settings],
             "error_injections": [
                 {"prep": e.prep_index, "setting": e.setting_index, "hwp_offset": e.hwp_offset}
-                for e in self.error_injections
+                for e in plan.errors
             ],
             "known_povms": [list(row) for row in self.known_povms] if self.known_povms else None,
             "input_data": self.input_data_path,
@@ -239,26 +218,33 @@ def _parse_injections(raw):
     return tuple(injections)
 
 
-# RunConfig is frozen, so one validated default serves every call.
-_DEFAULT_CONFIG = RunConfig()
+# Keys of the run itself, by the RunConfig field each sets; every other
+# key belongs to the experiment plan.
+_RUN_KEYS = {
+    "mode": "mode",
+    "threshold": "detection_threshold",
+    "known_povms": "known_povms",
+    "input_data": "input_data_path",
+    "output_dir": "output_dir",
+}
 
 _KNOWN_KEYS = {
-    "mode", "scheme", "state", "seed", "shots", "angle_jitter_sigma", "repetitions",
-    "threshold", "prep_angles", "meas_angles", "error_injections", "known_povms",
-    "input_data", "output_dir",
+    "scheme", "state", "seed", "shots", "angle_jitter_sigma", "repetitions",
+    "prep_angles", "meas_angles", "error_injections", *_RUN_KEYS,
 }
 
 
-def config_from_dict(raw, base=_DEFAULT_CONFIG):
-    """Build a :class:`RunConfig` from a parsed JSON document."""
+def config_from_dict(raw):
+    """Build a :class:`RunConfig` from a parsed JSON document: the
+    experiment plan is validated first, then the run around it."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}", field=sorted(unknown)[0])
 
-    scheme = _parse_enum(Scheme, raw, "scheme", base.scheme)
-    shots = raw.get("shots", base.shots_per_setting)
+    scheme = _parse_enum(Scheme, raw, "scheme", ExperimentPlan.scheme)
+    shots = raw.get("shots", DEFAULT_SHOTS)
     if isinstance(shots, str):
         if shots.lower() in ("inf", "infinite", "analytic"):
             shots = None
@@ -268,37 +254,21 @@ def config_from_dict(raw, base=_DEFAULT_CONFIG):
         if isinstance(shots, bool) or not isinstance(shots, int):
             raise ConfigError(f"shots must be an integer, got {shots!r}", field="shots")
 
-    kwargs = {
-        "mode": raw.get("mode", base.mode),
-        "scheme": scheme,
-        "source": _parse_enum(SourceKind, raw, "state", base.source),
-        "shots_per_setting": shots,
-        "angle_jitter_sigma": raw.get("angle_jitter_sigma", base.angle_jitter_sigma),
-        "seed": raw.get("seed", base.seed),
-        "repetitions": raw.get("repetitions", base.repetitions),
-        "detection_threshold": raw.get("threshold", base.detection_threshold),
-        "input_data_path": raw.get("input_data", base.input_data_path),
-        "output_dir": raw.get("output_dir", base.output_dir),
-    }
-    if "prep_angles" in raw:
-        kwargs["prep_settings"] = _parse_settings(raw["prep_angles"], "prep_angles", scheme)
-    elif base.prep_settings is not None and len(base.prep_settings) == scheme.n_settings:
-        kwargs["prep_settings"] = base.prep_settings
-    if "meas_angles" in raw:
-        kwargs["meas_settings"] = _parse_settings(raw["meas_angles"], "meas_angles", scheme)
-    elif base.meas_settings is not None and len(base.meas_settings) == scheme.n_settings:
-        kwargs["meas_settings"] = base.meas_settings
-    if "error_injections" in raw:
-        kwargs["error_injections"] = _parse_injections(raw["error_injections"])
-    else:
-        kwargs["error_injections"] = base.error_injections
-    if "known_povms" in raw:
-        kwargs["known_povms"] = raw["known_povms"]
-    else:
-        kwargs["known_povms"] = base.known_povms
-
     try:
-        return RunConfig(**kwargs)
+        experiment = ExperimentPlan(
+            source=_parse_enum(SourceKind, raw, "state", ExperimentPlan.source),
+            prep_settings=_parse_settings(raw["prep_angles"], "prep_angles", scheme) if "prep_angles" in raw else None,
+            meas_settings=_parse_settings(raw["meas_angles"], "meas_angles", scheme) if "meas_angles" in raw else None,
+            scheme=scheme,
+            errors=_parse_injections(raw.get("error_injections", [])),
+            noise=NoiseModel(
+                shots_per_setting=shots,
+                angle_jitter_sigma=raw.get("angle_jitter_sigma", DEFAULT_ANGLE_JITTER),
+                seed=raw.get("seed", 0),
+            ),
+            repetitions=raw.get("repetitions", DEFAULT_REPETITIONS),
+        )
+        return RunConfig(experiment=experiment, **{name: raw[key] for key, name in _RUN_KEYS.items() if key in raw})
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -330,7 +300,7 @@ def load_config(path, overrides=None):
         raise ConfigError(f"configuration parse error: {exc}") from None
     if overrides and isinstance(raw, dict):
         merged = {**raw, **overrides}
-        if merged.get("scheme", RunConfig.scheme) != raw.get("scheme", RunConfig.scheme):
+        if merged.get("scheme", ExperimentPlan.scheme) != raw.get("scheme", ExperimentPlan.scheme):
             merged.pop("prep_angles", None)
             merged.pop("meas_angles", None)
         raw = merged

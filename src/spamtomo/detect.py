@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import DET_RTOL, guarded_inv3
+from ._linalg import guarded_inv3
 from .errors import ShapeError
 from .optics import Scheme
 
@@ -64,7 +64,7 @@ def embed_n_plus_1(compact):
     return np.ascontiguousarray(compact[..., idx[:, None], idx])
 
 
-def partial_determinant(values, det_rtol=DET_RTOL):
+def partial_determinant(values):
     """Partial determinant ``A^-1 B D^-1 C`` of a 6x6 expectation matrix,
     or of every matrix in a ``(..., 6, 6)`` stack.
 
@@ -78,7 +78,7 @@ def partial_determinant(values, det_rtol=DET_RTOL):
     if values.shape[-2:] != (6, 6):
         raise ShapeError(f"partial determinant expects 6x6 matrices, got shape {values.shape}")
     corners = np.stack([values[..., :3, :3], values[..., 3:, 3:]], axis=-3)
-    inverses = guarded_inv3(corners, det_rtol, where=_CORNERS)
+    inverses = guarded_inv3(corners, where=_CORNERS)
     return inverses[..., 0, :, :] @ values[..., :3, 3:] @ inverses[..., 1, :, :] @ values[..., 3:, :3]
 
 
@@ -95,7 +95,7 @@ class DeltaStats:
     repetitions: int
 
 
-def delta_statistics(samples, det_rtol=DET_RTOL):
+def delta_statistics(samples):
     """Statistics of ``Delta - 1`` over a stack (or list) of 6x6 matrices.
 
     Uses the unbiased (N-1) standard deviation.  When the spread of an
@@ -109,7 +109,7 @@ def delta_statistics(samples, det_rtol=DET_RTOL):
         raise ShapeError(f"statistics need a stack of 6x6 matrices, got shape {samples.shape}")
     if len(samples) < 2:
         raise ShapeError(f"need at least 2 repetitions for statistics, got {len(samples)}")
-    stack = partial_determinant(samples, det_rtol) - np.eye(3)
+    stack = partial_determinant(samples) - np.eye(3)
     mean = stack.mean(axis=0)
     std = stack.std(axis=0, ddof=1)
     # "zero" spread/mean below the exact-algebra floor, so roundoff dust
@@ -163,7 +163,7 @@ def detect(stats, threshold=3.0, scheme=Scheme.TWO_N):
     )
 
 
-def localize(report, scheme=None):
+def localize(report):
     """Attach candidate error locations to a detection report.
 
     For the six-setting scheme each flagged row ``r`` implicates
@@ -179,12 +179,11 @@ def localize(report, scheme=None):
     The localization is heuristic thresholding of the deviation pattern;
     candidates are suggestions for the operator, not proofs.
     """
-    scheme = Scheme(scheme) if scheme is not None else report.scheme
     if not report.detected:
-        return replace(report, scheme=scheme, candidate_locations=(), note="no flags to localize")
+        return replace(report, candidate_locations=(), note="no flags to localize")
     rows = sorted({r for r, _, _ in report.flagged_elements})
     cols = sorted({c for _, c, _ in report.flagged_elements})
-    if scheme is Scheme.TWO_N:
+    if report.scheme is Scheme.TWO_N:
         preps = sorted({p for r in rows for p in (r, r + 3)})
         settings = sorted({s for c in cols for s in (c, c + 3)})
         candidates = tuple((a, i) for a in preps for i in settings)
@@ -207,4 +206,4 @@ def localize(report, scheme=None):
                 "row 1/column 1 flags are expected duplication artifacts; remaining flags "
                 "name compact (preparation, setting) locations"
             )
-    return replace(report, scheme=scheme, candidate_locations=candidates, note=note)
+    return replace(report, candidate_locations=candidates, note=note)

@@ -122,13 +122,19 @@ class WavePlateSetting:
             object.__setattr__(self, name, float(value) % math.pi)
 
 
-def default_settings(scheme):
-    """The default wave-plate settings for a scheme (six, or the first four)."""
-    n = Scheme(scheme).n_settings
-    return [
+_DEFAULT_SETTINGS = {
+    scheme: tuple(
         WavePlateSetting(q, h)
-        for q, h in zip(DEFAULT_QWP_ANGLES[:n], DEFAULT_HWP_ANGLES[:n])
-    ]
+        for q, h in zip(DEFAULT_QWP_ANGLES[: scheme.n_settings], DEFAULT_HWP_ANGLES[: scheme.n_settings])
+    )
+    for scheme in Scheme
+}
+
+
+def default_settings(scheme):
+    """The default wave-plate settings for a scheme (six, or the first
+    four), built once per scheme."""
+    return _DEFAULT_SETTINGS[Scheme(scheme)]
 
 
 # Stokes vectors travel through the plates as their three components
@@ -253,11 +259,12 @@ class NoiseModel:
 class ExperimentPlan:
     """Everything needed to simulate repeated measurements of the
     expectation matrix: source, plate settings, scheme, injected errors,
-    noise, and the number of sequential repetitions."""
+    noise, and the number of sequential repetitions.  Settings left
+    ``None`` are the scheme's :func:`default_settings`."""
 
     source: SourceKind = SourceKind.PURE_H
-    prep_settings: tuple = field(default_factory=lambda: tuple(default_settings(Scheme.TWO_N)))
-    meas_settings: tuple = field(default_factory=lambda: tuple(default_settings(Scheme.TWO_N)))
+    prep_settings: tuple | None = None
+    meas_settings: tuple | None = None
     scheme: Scheme = Scheme.TWO_N
     errors: tuple = ()
     noise: NoiseModel = field(default_factory=NoiseModel)
@@ -266,8 +273,9 @@ class ExperimentPlan:
     def __post_init__(self):
         object.__setattr__(self, "source", SourceKind(self.source))
         object.__setattr__(self, "scheme", Scheme(self.scheme))
-        object.__setattr__(self, "prep_settings", tuple(self.prep_settings))
-        object.__setattr__(self, "meas_settings", tuple(self.meas_settings))
+        for name in ("prep_settings", "meas_settings"):
+            settings = getattr(self, name)
+            object.__setattr__(self, name, default_settings(self.scheme) if settings is None else tuple(settings))
         object.__setattr__(self, "errors", tuple(self.errors))
         n = self.scheme.n_settings
         if len(self.prep_settings) != n:

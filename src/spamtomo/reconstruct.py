@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DET_RTOL, guarded_inv3
+from ._linalg import guarded_inv3
 from .errors import ShapeError, SingularMatrixError
 from .qubit import fidelity, povm_element_fidelity, relative_error
 
@@ -34,7 +34,7 @@ def _clip_to_ball(vectors, axis):
     return scaled, flags.reshape(-1)
 
 
-def qst_invert(s_block, w_block, renormalize=True, det_rtol=DET_RTOL):
+def qst_invert(s_block, w_block, renormalize=True):
     """State tomography: recover Stokes rows from ``P = S W^-1``.
 
     ``s_block`` is Mx3 (one row per preparation, restricted to the three
@@ -45,14 +45,14 @@ def qst_invert(s_block, w_block, renormalize=True, det_rtol=DET_RTOL):
     s_block = np.asarray(s_block, dtype=float)
     if s_block.ndim != 2 or s_block.shape[1] != 3:
         raise ShapeError(f"state tomography needs an Mx3 block, got shape {s_block.shape}")
-    w_inv = guarded_inv3(np.asarray(w_block, dtype=float), det_rtol, where="measurement block")
+    w_inv = guarded_inv3(np.asarray(w_block, dtype=float), where="measurement block")
     rows = s_block @ w_inv
     if renormalize:
         return _clip_to_ball(rows, axis=1)
     return rows, np.zeros(rows.shape[0], dtype=bool)
 
 
-def qdt_invert(s_block, p_block, renormalize=True, det_rtol=DET_RTOL):
+def qdt_invert(s_block, p_block, renormalize=True):
     """Detector tomography: recover observable columns from ``W = P^-1 S``.
 
     ``s_block`` is 3xN (one column per setting, restricted to the three
@@ -62,7 +62,7 @@ def qdt_invert(s_block, p_block, renormalize=True, det_rtol=DET_RTOL):
     s_block = np.asarray(s_block, dtype=float)
     if s_block.ndim != 2 or s_block.shape[0] != 3:
         raise ShapeError(f"detector tomography needs a 3xN block, got shape {s_block.shape}")
-    p_inv = guarded_inv3(np.asarray(p_block, dtype=float), det_rtol, where="preparation block")
+    p_inv = guarded_inv3(np.asarray(p_block, dtype=float), where="preparation block")
     cols = p_inv @ s_block
     if renormalize:
         scaled, flags = _clip_to_ball(cols.T, axis=1)
@@ -83,7 +83,7 @@ class LoopResult:
     consistency_residual: float
 
 
-def loop_bootstrap(values, known_w, renormalize=True, det_rtol=DET_RTOL):
+def loop_bootstrap(values, known_w, renormalize=True):
     """Run the tomography loop on a 6x6 expectation matrix.
 
     ``known_w`` holds the observable columns of settings 1-3.  The legs
@@ -102,15 +102,15 @@ def loop_bootstrap(values, known_w, renormalize=True, det_rtol=DET_RTOL):
 
     a, b, c, d = values[:3, :3], values[:3, 3:], values[3:, :3], values[3:, 3:]
     try:
-        p_first, _ = qst_invert(a, known_w, renormalize=False, det_rtol=det_rtol)
+        p_first, _ = qst_invert(a, known_w, renormalize=False)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"state-tomography leg on the upper-left block: {exc}", where=exc.where) from exc
     try:
-        w_rest, _ = qdt_invert(b, p_first, renormalize=False, det_rtol=det_rtol)
+        w_rest, _ = qdt_invert(b, p_first, renormalize=False)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"detector-tomography leg on the upper-right block: {exc}", where=exc.where) from exc
     try:
-        p_rest, _ = qst_invert(d, w_rest, renormalize=False, det_rtol=det_rtol)
+        p_rest, _ = qst_invert(d, w_rest, renormalize=False)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"state-tomography leg on the lower-right block: {exc}", where=exc.where) from exc
 

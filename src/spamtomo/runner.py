@@ -9,6 +9,7 @@ configurations produce byte-identical report files; wall-clock timing
 goes to a sidecar file for that reason.
 """
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass
@@ -69,12 +70,13 @@ class RunReport:
     def to_dict(self):
         """Deterministic report dictionary (wall clock deliberately
         excluded; it goes to the timing sidecar)."""
+        plan = self.config.experiment
         report = {
             "schema": REPORT_SCHEMA,
             "config": self.config.to_dict(),
-            "scheme": self.config.scheme.value,
+            "scheme": plan.scheme.value,
             "threshold": self.config.detection_threshold,
-            "seed": self.config.seed,
+            "seed": plan.noise.seed,
             "samples": self.samples,
             "exit_code": self.exit_code,
         }
@@ -95,8 +97,8 @@ class RunReport:
                 "note": self.detection.note,
             }
         if self.reconstruction is not None:
-            index = self.config.scheme.embed_index
-            rows, cols = _scored_operators(self.config.scheme)
+            index = plan.scheme.embed_index
+            rows, cols = _scored_operators(plan.scheme)
             report["reconstruction"] = {
                 "prep_stokes": self.reconstruction.prep_stokes,
                 "obs_vectors": self.reconstruction.obs_vectors,
@@ -120,10 +122,10 @@ def _obtain_samples(config, plan):
     data path is configured, simulated from the plan otherwise."""
     if config.input_data_path is not None:
         stack, scheme = load_measurements(config.input_data_path)
-        if scheme != config.scheme:
+        if scheme != plan.scheme:
             raise ConfigError(
                 f"data file uses scheme {scheme.value} but the configuration says "
-                f"{config.scheme.value}",
+                f"{plan.scheme.value}",
                 field="scheme",
             )
         return validate_expectation_matrix(stack)
@@ -142,8 +144,8 @@ def _known_observables(config, true_obs):
 def _reconstruct_and_score(config, plan, embedded):
     true_obs = theoretical_observables(plan)
     loop = loop_bootstrap(np.mean(embedded, axis=0), _known_observables(config, true_obs))
-    index = config.scheme.embed_index
-    rows, cols = _scored_operators(config.scheme)
+    index = plan.scheme.embed_index
+    rows, cols = _scored_operators(plan.scheme)
     scores = score_reconstruction(
         loop.prep_stokes[rows],
         theoretical_states(plan)[[index[r] for r in rows]],
@@ -164,28 +166,24 @@ def run(config):
     detected.
     """
     start = time.monotonic()
-    # One plan drives the simulation and is the scoring reference; loaded
-    # data needs it only for scoring.
-    plan = config.plan() if config.input_data_path is None else None
+    # The plan drives the simulation and is the scoring reference; loaded
+    # data must have been measured in its scheme.
+    plan = config.plan()
     samples = _obtain_samples(config, plan)
     report = RunReport(config=config, samples=samples)
 
     if config.mode != "simulate":
         embedded = samples
-        if config.scheme is Scheme.N_PLUS_ONE:
+        if plan.scheme is Scheme.N_PLUS_ONE:
             embedded = embed_n_plus_1(embedded)
         stats = delta_statistics(embedded)
-        detection = localize(
-            detect(stats, config.detection_threshold, config.scheme)
-        )
+        detection = localize(detect(stats, config.detection_threshold, plan.scheme))
         report.stats = stats
         report.detection = detection
         report.exit_code = EXIT_DETECTED if detection.detected else EXIT_CLEAN
 
         if config.mode in ("reconstruct", "full") and not detection.detected:
-            report.reconstruction, report.scores = _reconstruct_and_score(
-                config, plan or config.plan(), embedded
-            )
+            report.reconstruction, report.scores = _reconstruct_and_score(config, plan, embedded)
 
     report.wall_clock_seconds = time.monotonic() - start
     return report
@@ -195,30 +193,29 @@ def write_outputs(report, out_dir=None):
     """Write the report, measurement dump, plot grids and timing sidecar.
 
     Returns the paths written, keyed by kind.  Everything except the
-    timing sidecar is byte-deterministic for a fixed configuration.
+    timing sidecar is byte-deterministic for a fixed configuration.  An
+    output file left by an earlier run is removed, not rewritten in
+    place: on ext4 (``auto_da_alloc``) closing a truncated and rewritten
+    file waits for its data to reach the disk, and a hard link to the old
+    file keeps the old contents.
     """
     config = report.config
     out_dir = out_dir if out_dir is not None else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
+    def new_file(kind, name):
+        path = paths[kind] = os.path.join(out_dir, name)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+        return path
+
     payload = report.to_dict()
-    report_path = os.path.join(out_dir, "report.json")
-    write_report(report_path, payload)
-    paths["report"] = report_path
-
+    write_report(new_file("report", "report.json"), payload)
     if config.mode in ("simulate", "full"):
-        data_path = os.path.join(out_dir, "measurements.csv")
-        save_measurements(data_path, report.samples, config.scheme)
-        paths["measurements"] = data_path
-
+        save_measurements(new_file("measurements", "measurements.csv"), report.samples, config.experiment.scheme)
     if report.stats is not None:
-        grid_path = os.path.join(out_dir, "plot_grids.csv")
-        emit_plot_data(payload, grid_path)
-        paths["plot_grids"] = grid_path
-
-    timing_path = os.path.join(out_dir, "timing.txt")
-    with open(timing_path, "w", encoding="utf-8") as handle:
+        emit_plot_data(payload, new_file("plot_grids", "plot_grids.csv"))
+    with open(new_file("timing", "timing.txt"), "w", encoding="utf-8") as handle:
         handle.write(f"wall_clock_seconds={report.wall_clock_seconds:.6f}\n")
-    paths["timing"] = timing_path
     return paths

@@ -233,13 +233,7 @@ def test_criterion_07_reconstruction_quality():
         for source in SourceKind:
             good = 0
             for seed in SEEDS:
-                config = RunConfig(
-                    mode="reconstruct",
-                    scheme=scheme,
-                    source=source,
-                    seed=seed,
-                    angle_jitter_sigma=0.0,
-                )
+                config = RunConfig(mode="reconstruct", experiment=make_plan(scheme, source, seed=seed, jitter=0.0))
                 result = run(config)
                 if result.scores is None:
                     continue
@@ -287,11 +281,7 @@ def test_criterion_09_multi_error_candidates():
 
 
 def test_criterion_10_determinism(tmp_path):
-    config = RunConfig(
-        mode="full",
-        seed=7,
-        error_injections=(ErrorInjection(1, 1, np.pi / 20),),
-    )
+    config = RunConfig(mode="full", experiment=make_plan(errors=(ErrorInjection(1, 1, np.pi / 20),), seed=7))
     paths_a = write_outputs(run(config), str(tmp_path / "a"))
     paths_b = write_outputs(run(config), str(tmp_path / "b"))
     compared = []

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from spamtomo import ConfigError, RunConfig, load_config, run
+from spamtomo import ConfigError, ExperimentPlan, NoiseModel, load_config, run
 from spamtomo.cli import build_parser, main
 
 
@@ -203,6 +203,21 @@ class TestCli:
         assert payload["scheme"] == "n+1"
         assert len(payload["config"]["prep_angles"]) == 4
 
+    def test_rerun_writes_new_output_files(self, tmp_path):
+        # a rerun into a used directory replaces each output file instead of
+        # rewriting it in place, so a hard link keeps the old bytes
+        out = tmp_path / "out"
+        names = ("report.json", "measurements.csv", "plot_grids.csv", "timing.txt")
+        assert main(["full", "--seed", "3", "--out", str(out)]) == 0
+        for name in names:
+            os.link(out / name, tmp_path / name)
+        old = {name: (out / name).read_bytes() for name in names}
+        assert main(["full", "--seed", "4", "--out", str(out)]) == 0
+        for name in names:
+            assert (tmp_path / name).read_bytes() == old[name], name
+            assert not os.path.samefile(out / name, tmp_path / name), name
+        assert (out / "report.json").read_bytes() != old["report.json"]
+
 
 class TestParser:
     @pytest.mark.parametrize("mode", ["simulate", "analyze", "reconstruct", "full"])
@@ -231,7 +246,7 @@ class TestParser:
         assert main(["full", "--out", str(tmp_path / "b")]) == 0
         first, second = (json.load(open(tmp_path / out / "report.json")) for out in ("a", "b"))
         assert (first["seed"], first["scheme"]) == (3, "n+1")
-        assert (second["seed"], second["scheme"]) == (RunConfig.seed, RunConfig.scheme.value)
+        assert (second["seed"], second["scheme"]) == (NoiseModel.seed, ExperimentPlan.scheme.value)
         capsys.readouterr()
         with pytest.raises(SystemExit):
             main(["--help"])

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from spamtomo import ConfigError, RunConfig, Scheme, SourceKind, load_config, parse_angle
+from spamtomo import (
+    ConfigError,
+    ExperimentPlan,
+    NoiseModel,
+    RunConfig,
+    Scheme,
+    SourceKind,
+    load_config,
+    parse_angle,
+)
 
 
 def write_config(tmp_path, payload):
@@ -42,16 +51,17 @@ class TestLoadConfig:
     def test_minimal_config_defaults(self, tmp_path):
         path = write_config(tmp_path, {"scheme": "n+1", "state": "pure_h", "seed": 1})
         config = load_config(path)
-        assert config.scheme is Scheme.N_PLUS_ONE
-        assert config.source is SourceKind.PURE_H
-        assert config.seed == 1
-        assert config.shots_per_setting == 10_000
-        assert config.repetitions == 10
+        plan = config.experiment
+        assert plan.scheme is Scheme.N_PLUS_ONE
+        assert plan.source is SourceKind.PURE_H
+        assert plan.noise.seed == 1
+        assert plan.noise.shots_per_setting == 10_000
+        assert plan.repetitions == 10
         assert config.detection_threshold == 3.0
         # defaults fall back to the first four angle pairs
-        assert len(config.prep_settings) == 4
-        assert config.prep_settings[3].qwp_angle == pytest.approx(np.pi / 16)
-        assert config.prep_settings[3].hwp_angle == pytest.approx(np.pi / 16)
+        assert len(plan.prep_settings) == 4
+        assert plan.prep_settings[3].qwp_angle == pytest.approx(np.pi / 16)
+        assert plan.prep_settings[3].hwp_angle == pytest.approx(np.pi / 16)
 
     def test_injection_round_trip(self, tmp_path):
         path = write_config(
@@ -59,7 +69,7 @@ class TestLoadConfig:
             {"error_injections": [{"prep": 1, "setting": 1, "hwp_offset": 0.7853981634}]},
         )
         config = load_config(path)
-        injection = config.error_injections[0]
+        injection = config.experiment.errors[0]
         assert (injection.prep_index, injection.setting_index) == (1, 1)
         assert injection.hwp_offset == pytest.approx(np.pi / 4, abs=1e-9)
 
@@ -69,7 +79,7 @@ class TestLoadConfig:
             {"error_injections": [{"prep": 2, "setting": 2, "hwp_offset": "pi/4"}]},
         )
         config = load_config(path)
-        assert config.error_injections[0].hwp_offset == pytest.approx(np.pi / 4, abs=1e-15)
+        assert config.experiment.errors[0].hwp_offset == pytest.approx(np.pi / 4, abs=1e-15)
 
     def test_rejects_zero_shots(self, tmp_path):
         path = write_config(tmp_path, {"shots": 0})
@@ -79,7 +89,7 @@ class TestLoadConfig:
     def test_analytic_shots(self, tmp_path):
         for value in (None, "inf"):
             path = write_config(tmp_path, {"shots": value})
-            assert load_config(path).shots_per_setting is None
+            assert load_config(path).experiment.noise.shots_per_setting is None
 
     def test_rejects_unknown_key(self, tmp_path):
         path = write_config(tmp_path, {"shotz": 100})
@@ -112,7 +122,7 @@ class TestLoadConfig:
             },
         )
         config = load_config(path)
-        assert config.meas_settings[2].hwp_angle == pytest.approx(np.pi / 8)
+        assert config.experiment.meas_settings[2].hwp_angle == pytest.approx(np.pi / 8)
 
     def test_known_povms_shape_checked(self, tmp_path):
         path = write_config(tmp_path, {"known_povms": [[0, 0, 1], [0, 1, 0]]})
@@ -169,22 +179,25 @@ class TestLoadConfig:
 
 class TestRunConfig:
     def test_single_repetition_allowed_without_statistics(self, tmp_path):
-        assert RunConfig(mode="simulate", repetitions=1).repetitions == 1
+        one = ExperimentPlan(repetitions=1)
+        assert RunConfig(mode="simulate", experiment=one).experiment.repetitions == 1
         data = str(tmp_path / "m.csv")
-        assert RunConfig(mode="analyze", repetitions=1, input_data_path=data).repetitions == 1
+        assert RunConfig(mode="analyze", experiment=one, input_data_path=data).experiment.repetitions == 1
 
     @pytest.mark.parametrize("repetitions", [2.5, True])
     def test_rejects_non_integer_repetitions(self, repetitions):
         with pytest.raises(ConfigError) as excinfo:
-            RunConfig(repetitions=repetitions)
+            RunConfig(experiment=ExperimentPlan(repetitions=repetitions))
         assert excinfo.value.field == "repetitions"
 
     def test_largest_shot_budget_accepted(self):
-        assert RunConfig(shots_per_setting=2**63 - 1).shots_per_setting == 2**63 - 1
+        config = RunConfig(experiment=ExperimentPlan(noise=NoiseModel(shots_per_setting=2**63 - 1)))
+        assert config.experiment.noise.shots_per_setting == 2**63 - 1
 
     def test_plan_round_trip(self):
-        config = RunConfig(scheme=Scheme.N_PLUS_ONE, seed=9)
+        config = RunConfig(experiment=ExperimentPlan(scheme=Scheme.N_PLUS_ONE, noise=NoiseModel(seed=9)))
         plan = config.plan()
+        assert plan is config.experiment
         assert plan.scheme is Scheme.N_PLUS_ONE
         assert plan.noise.seed == 9
         assert len(plan.prep_settings) == 4

@@ -388,6 +388,12 @@ class TestValidation:
                 scheme=Scheme.TWO_N, prep_settings=default_settings(Scheme.N_PLUS_ONE)
             )
 
+    def test_default_settings_follow_the_scheme(self):
+        plan = ExperimentPlan(scheme=Scheme.N_PLUS_ONE)
+        assert plan.prep_settings == plan.meas_settings == default_settings("n+1")
+        assert len(plan.prep_settings) == 4
+        assert ExperimentPlan().prep_settings is default_settings(Scheme.TWO_N)
+
     def test_rejects_zero_shots(self):
         with pytest.raises(ConfigError):
             NoiseModel(shots_per_setting=0)

@@ -283,6 +283,89 @@ def test_fuzzed_configs_validate_or_are_rejected(raw):
     assert isinstance(config, RunConfig)
 
 
+def _angle_pairs(n):
+    pair = st.lists(st.sampled_from(["0", "pi/8", "5pi/16", 0.3]), min_size=2, max_size=2)
+    return st.lists(pair, min_size=n, max_size=n)
+
+
+def _valid_values(n):
+    """A valid value for every config key but the scheme, for a scheme of
+    ``n`` settings.  ``input_data`` stays null, so a simulated analysis
+    reaches the check that it has two repetitions."""
+    injection = st.fixed_dictionaries(
+        {"prep": st.integers(1, n), "setting": st.integers(1, n), "hwp_offset": st.sampled_from(["pi/20", 0.1])})
+    return {
+        "mode": st.sampled_from(["simulate", "analyze", "reconstruct", "full"]),
+        "state": st.sampled_from(["pure_h", "mixed"]),
+        "seed": st.integers(0, 2**64 - 1),
+        "shots": st.none() | st.just("inf") | st.integers(1, 2**63 - 1),
+        "angle_jitter_sigma": st.integers(0, 1) | st.floats(0.0, 0.1),
+        "repetitions": st.integers(2, 20),
+        "threshold": st.integers(1, 5) | st.floats(0.1, 10.0),
+        "prep_angles": _angle_pairs(n),
+        "meas_angles": _angle_pairs(n),
+        "error_injections": st.lists(injection, max_size=2),
+        "known_povms": st.none() | st.just([[0, 0, 1], [0, 1, 0], [1.0, 0, 0]]),
+        "input_data": st.none(),
+        "output_dir": st.just("out"),
+    }
+
+
+def _near_misses(n):
+    """Values at or just past each check of a config key, for a scheme of
+    ``n`` settings."""
+    pairs = [["0", "0"]] * (n - 1)
+    return {
+        "mode": st.sampled_from(["fit", "", "FULL"]),
+        "scheme": st.sampled_from(["2n", "n+1", "3n"]),
+        "state": st.sampled_from(["circular", "PURE_H"]),
+        "seed": st.sampled_from([-1, 2**64, 1.5, True, "1"]),
+        "shots": st.sampled_from([0, -1, 2**63, 10**20, 1.5, True, "ten"]),
+        "angle_jitter_sigma": st.sampled_from([-0.1, math.nan, math.inf, "0.1", True, None]),
+        "repetitions": st.sampled_from([0, 1, 2.5]),
+        "threshold": st.sampled_from([0, -1.0, math.nan, math.inf, "3", True, None]),
+        "prep_angles": st.sampled_from([pairs, pairs + [["0", "0"]] * 2, pairs + [["0"]], pairs + ["0"],
+                                        pairs + [["pi/0", "0"]], pairs + [["x", "0"]], pairs + [[0, "1e400"]]]),
+        "meas_angles": st.sampled_from([pairs, pairs + [[True, 0]], pairs + [[0, None]], "pi/4"]),
+        "error_injections": st.sampled_from([
+            [{"prep": n + 1, "setting": 1, "hwp_offset": 0.1}], [{"prep": 1, "setting": 7, "hwp_offset": 0.1}],
+            [{"prep": 1, "setting": 1}], [{"prep": 1.0, "setting": 1, "hwp_offset": 0.1}],
+            [{"prep": 1, "setting": 1, "hwp_offset": "x"}], [3], {"prep": 1},
+        ]),
+        "known_povms": st.sampled_from([[[0, 0, 1]] * 2, [[0, 0, 1], [0, 1, 0], [math.nan, 0, 0]],
+                                        [[0, 0, 1], [0, 1, 0], [1, 0]], "x"]),
+        "input_data": st.sampled_from([5, ["m.csv"], False]),
+        "output_dir": st.sampled_from([None, 5, ["out"]]),
+    }
+
+
+@st.composite
+def one_key_fuzzed(draw, key):
+    """A valid config with ``key`` set to a near miss or any value."""
+    scheme = draw(st.sampled_from(["2n", "n+1"]))
+    n = Scheme(scheme).n_settings
+    raw = draw(st.fixed_dictionaries({}, optional=_valid_values(n)))
+    raw["scheme"] = scheme
+    raw[key] = draw(_near_misses(n)[key] | VALUES)
+    return raw
+
+
+@pytest.mark.parametrize("key", sorted(_KNOWN_KEYS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_fuzzed_key_validates_or_is_rejected(key, data):
+    # every other key is valid, so the checks of the run, the plan and the
+    # noise model are reached; a rejection still names the key at fault
+    raw = data.draw(one_key_fuzzed(key), label="raw")
+    try:
+        config = config_from_dict(raw)
+    except ConfigError as exc:
+        assert exc.field is not None, str(exc)
+        assert re.split(r"[\[.]", exc.field)[0] in raw
+        return
+    assert isinstance(config, RunConfig)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),

@@ -9,6 +9,8 @@ from spamtomo import (
     ErrorInjection,
     EXIT_CLEAN,
     EXIT_DETECTED,
+    ExperimentPlan,
+    NoiseModel,
     RunConfig,
     Scheme,
     emit_plot_data,
@@ -20,10 +22,12 @@ from spamtomo import (
 )
 
 
-def null_config(**overrides):
-    base = dict(mode="full", seed=42)
-    base.update(overrides)
-    return RunConfig(**base)
+def null_config(mode="full", noise=None, **fields):
+    """A run at seed 42.  ``fields`` are RunConfig and ExperimentPlan
+    fields; ``noise`` overrides NoiseModel fields."""
+    run_fields = {k: fields.pop(k) for k in ("input_data_path", "output_dir", "known_povms") if k in fields}
+    plan = ExperimentPlan(noise=NoiseModel(**{"seed": 42, **(noise or {})}), **fields)
+    return RunConfig(mode=mode, experiment=plan, **run_fields)
 
 
 class TestRun:
@@ -36,7 +40,7 @@ class TestRun:
         assert report.reconstruction is not None
 
     def test_large_injection_detected(self):
-        config = null_config(error_injections=(ErrorInjection(1, 1, np.pi / 4),))
+        config = null_config(errors=(ErrorInjection(1, 1, np.pi / 4),))
         report = run(config)
         assert report.exit_code == EXIT_DETECTED
         assert report.detection.flagged_elements[0][2] > 10.0
@@ -44,7 +48,7 @@ class TestRun:
         assert report.reconstruction is None
 
     def test_small_injection_not_detected(self):
-        config = null_config(error_injections=(ErrorInjection(1, 1, np.pi / 40),))
+        config = null_config(errors=(ErrorInjection(1, 1, np.pi / 40),))
         report = run(config)
         assert report.exit_code == EXIT_CLEAN
 
@@ -126,7 +130,7 @@ class TestOutputs:
         # a (2,2) injection with six settings concentrates the mean-grid
         # deviation at element (2,2), as the noiseless computation predicts
         config = null_config(
-            error_injections=(ErrorInjection(2, 2, np.pi / 4),), output_dir=str(tmp_path)
+            errors=(ErrorInjection(2, 2, np.pi / 4),), output_dir=str(tmp_path)
         )
         paths = write_outputs(run(config))
         lines = open(paths["plot_grids"]).read().splitlines()
@@ -138,9 +142,8 @@ class TestOutputs:
         # without counting noise or drift the injected element deviates
         # identically in every repetition: zero spread, infinite significance
         config = null_config(
-            shots_per_setting=None,
-            angle_jitter_sigma=0.0,
-            error_injections=(ErrorInjection(1, 1, np.pi / 4),),
+            noise={"shots_per_setting": None, "angle_jitter_sigma": 0.0},
+            errors=(ErrorInjection(1, 1, np.pi / 4),),
             output_dir=str(tmp_path),
         )
         report = run(config)
@@ -158,7 +161,7 @@ class TestOutputs:
 
     def test_detected_run_report_carries_candidates(self, tmp_path):
         config = null_config(
-            error_injections=(ErrorInjection(1, 1, np.pi / 4),), output_dir=str(tmp_path)
+            errors=(ErrorInjection(1, 1, np.pi / 4),), output_dir=str(tmp_path)
         )
         report = run(config)
         paths = write_outputs(report)
