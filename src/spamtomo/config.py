@@ -159,14 +159,11 @@ class RunConfig:
         }
 
 
-def _parse_settings(raw, key, scheme):
+def _parse_settings(raw, key):
+    """The wave-plate settings of one angle list; ``ExperimentPlan``
+    checks their number against the scheme."""
     if not isinstance(raw, list):
         raise ConfigError(f"{key} must be a list of [qwp, hwp] pairs", field=key)
-    n = scheme.n_settings
-    if len(raw) != n:
-        raise ConfigError(
-            f"{key} must list {n} angle pairs for scheme {scheme.value}, got {len(raw)}", field=key
-        )
     settings = []
     for k, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -257,8 +254,8 @@ def config_from_dict(raw):
     try:
         experiment = ExperimentPlan(
             source=_parse_enum(SourceKind, raw, "state", ExperimentPlan.source),
-            prep_settings=_parse_settings(raw["prep_angles"], "prep_angles", scheme) if "prep_angles" in raw else None,
-            meas_settings=_parse_settings(raw["meas_angles"], "meas_angles", scheme) if "meas_angles" in raw else None,
+            prep_settings=_parse_settings(raw["prep_angles"], "prep_angles") if "prep_angles" in raw else None,
+            meas_settings=_parse_settings(raw["meas_angles"], "meas_angles") if "meas_angles" in raw else None,
             scheme=scheme,
             errors=_parse_injections(raw.get("error_injections", [])),
             noise=NoiseModel(

@@ -8,11 +8,16 @@ Measurement files carry repeated expectation matrices as CSV blocks:
                         (blank line between repetition blocks)
 
 Values are written with ``repr`` precision so a save/load round trip is
-exact.  Reports are a single standard JSON document with a ``schema``
-field (non-finite numbers as the strings "inf", "-inf" and "nan"), laid
-out canonically: sorted keys, two-space indent and one value per line,
-the same bytes as ``json.dumps(..., indent=2, sort_keys=True)``.  The
-numeric content of the statistics figures (mean, standard deviation and
+exact.  The loader reads this layout, with LF or CRLF line endings, by
+slicing the separators out of the line list; every other valid layout
+(several blank or whitespace-only lines between blocks, trailing blank
+lines) still loads, through a line scan, to the same stack.
+
+Reports are a single standard JSON document with a ``schema`` field
+(non-finite numbers as the strings "inf", "-inf" and "nan"), laid out
+canonically: sorted keys, two-space indent and one value per line, the
+same bytes as ``json.dumps(..., indent=2, sort_keys=True)``.  The numeric
+content of the statistics figures (mean, standard deviation and
 significance grids) is additionally emitted as labelled CSV for external
 plotting.
 """
@@ -93,30 +98,12 @@ def _first_malformed(blocks, size):
     return DataFormatError("measurement data could not be parsed")
 
 
-def load_measurements(path):
-    """Read a measurement file; returns ``(stack, scheme)`` with ``stack``
-    a ``(repetitions, n, n)`` float array.
-
-    Entries are validated to lie within [-1, 1] (tolerance 1e-9; NaN and
-    infinities fail); any malformed row or out-of-range value is reported
-    with its block, row and column (all 1-based).  Structure and parse
-    errors are reported in file order, before any range error.  A leading
-    UTF-8 byte-order mark is ignored.
-    """
-    try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            raw_lines = handle.read().splitlines()
-    except FileNotFoundError:
-        raise DataFormatError(f"measurement file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"measurement file is not UTF-8 text: {exc}") from None
-    if not raw_lines:
-        raise DataFormatError("empty measurement file")
-    scheme, declared_blocks = _parse_header(raw_lines[0])
-    size = scheme.n_settings
-
+def _scanned_stack(rows, declared_blocks, size):
+    """The stack of any layout the format allows, found by a line scan:
+    a block is a run of non-blank lines.  Raises the first wrong block
+    count, row count, column count or number, in file order."""
     blocks, current = [], []
-    for line in raw_lines[1:] + [""]:
+    for line in rows + [""]:
         if line.strip() == "":
             if current:
                 blocks.append(current)
@@ -138,6 +125,51 @@ def load_measurements(path):
         stack = None
     if stack is None or any(len(block) != size for block in blocks):
         raise _first_malformed(blocks, size)
+    return stack
+
+
+def load_measurements(path):
+    """Read a measurement file; returns ``(stack, scheme)`` with ``stack``
+    a ``(repetitions, n, n)`` float array.
+
+    The layout :func:`save_measurements` writes (one empty line between
+    blocks, LF or CRLF line endings) is read by slicing the separators out
+    of the line list; every other valid layout (runs of blank or
+    whitespace-only lines between blocks, trailing blank lines) is read by
+    a line scan, to the same stack.  Entries are validated to lie within
+    [-1, 1] (tolerance 1e-9; NaN and infinities fail); any malformed row
+    or out-of-range value is reported with its block, row and column (all
+    1-based).  Structure and parse errors are reported in file order,
+    before any range error.  A leading UTF-8 byte-order mark is ignored.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            raw_lines = handle.read().splitlines()
+    except FileNotFoundError:
+        raise DataFormatError(f"measurement file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"measurement file is not UTF-8 text: {exc}") from None
+    if not raw_lines:
+        raise DataFormatError("empty measurement file")
+    scheme, declared_blocks = _parse_header(raw_lines[0])
+    size = scheme.n_settings
+
+    # The simulator's own layout: `declared_blocks` groups of `size` rows
+    # with one empty line between groups.  The parser skips empty lines,
+    # so a file with an empty row goes to the line scan unparsed; with
+    # none, a whitespace-only or wrong-width row makes the parse or the
+    # reshape fail, and every file that fails goes to the line scan,
+    # which finds its first error.
+    stack = None
+    rows = raw_lines[1:]
+    if len(rows) == declared_blocks * (size + 1) - 1 and not any(rows[size :: size + 1]):
+        del rows[size :: size + 1]
+        try:
+            stack = _parse(rows).reshape(declared_blocks, size, size) if all(rows) else None
+        except ValueError:
+            pass
+    if stack is None:
+        stack = _scanned_stack(raw_lines[1:], declared_blocks, size)
     bad = ~(np.abs(stack) <= 1.0 + 1e-9)
     if bad.any():
         b, r, c = np.argwhere(bad)[0]

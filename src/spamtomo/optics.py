@@ -273,21 +273,17 @@ class ExperimentPlan:
     def __post_init__(self):
         object.__setattr__(self, "source", SourceKind(self.source))
         object.__setattr__(self, "scheme", Scheme(self.scheme))
-        for name in ("prep_settings", "meas_settings"):
-            settings = getattr(self, name)
-            object.__setattr__(self, name, default_settings(self.scheme) if settings is None else tuple(settings))
         object.__setattr__(self, "errors", tuple(self.errors))
         n = self.scheme.n_settings
-        if len(self.prep_settings) != n:
-            raise ConfigError(
-                f"scheme {self.scheme.value} needs {n} preparation settings, got {len(self.prep_settings)}",
-                field="prep_angles",
-            )
-        if len(self.meas_settings) != n:
-            raise ConfigError(
-                f"scheme {self.scheme.value} needs {n} measurement settings, got {len(self.meas_settings)}",
-                field="meas_angles",
-            )
+        for name, key in (("prep_settings", "prep_angles"), ("meas_settings", "meas_angles")):
+            settings = getattr(self, name)
+            settings = default_settings(self.scheme) if settings is None else tuple(settings)
+            if len(settings) != n:
+                raise ConfigError(
+                    f"{key} must list {n} angle pairs for scheme {self.scheme.value}, got {len(settings)}",
+                    field=key,
+                )
+            object.__setattr__(self, name, settings)
         if isinstance(self.repetitions, bool) or not isinstance(self.repetitions, numbers.Integral):
             raise ConfigError(f"repetitions must be an integer, got {self.repetitions!r}", field="repetitions")
         if self.repetitions < 1:

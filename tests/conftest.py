@@ -30,7 +30,8 @@ def matrix_fidelity(a, b):
     pure state) counts as 0; elsewhere the square root would turn that
     roundoff into errors near 1e-8."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    dets = [np.linalg.det(m).real for m in (a, b)]
+    # the closed-form 2x2 determinant: np.linalg.det warns on some singular ones
+    dets = [(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real for m in (a, b)]
     dets = [d if d > 1e-15 else 0.0 for d in dets]
     f = np.trace(a @ b).real + 2.0 * np.sqrt(dets[0] * dets[1])
     return float(min(max(f, 0.0), 1.0))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from spamtomo import (
     validate_expectation_matrix,
     write_report,
 )
+from spamtomo import data_io
 
 
 def simulated_blocks(scheme=Scheme.TWO_N, seed=4, repetitions=10):
@@ -102,6 +104,38 @@ class TestMeasurementsRoundTrip:
         loaded, scheme = load_measurements(str(path))
         assert scheme is Scheme.N_PLUS_ONE
         assert np.array_equal(loaded, blocks)
+
+    @pytest.mark.parametrize("layout", ["crlf", "two_blank_lines", "whitespace_separators", "trailing_blank_lines"])
+    def test_other_valid_layouts_load_the_same_stack(self, tmp_path, layout):
+        path = tmp_path / "m.csv"
+        save_measurements(str(path), simulated_blocks(repetitions=4), Scheme.TWO_N)
+        canonical, _ = load_measurements(str(path))
+        text = path.read_text(encoding="utf-8")
+        text = {
+            "crlf": text.replace("\n", "\r\n"),
+            "two_blank_lines": text.replace("\n\n", "\n\n\n"),
+            "whitespace_separators": text.replace("\n\n", "\n \t\n"),
+            "trailing_blank_lines": text + "\n\n",
+        }[layout]
+        path.write_bytes(text.encode("utf-8"))
+        loaded, scheme = load_measurements(str(path))
+        assert scheme is Scheme.TWO_N
+        assert loaded.shape == (4, 6, 6)
+        assert loaded.tobytes() == canonical.tobytes()
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("repetitions", [1, 3])
+    def test_own_layout_is_read_without_the_line_scan(self, tmp_path, monkeypatch, scheme, repetitions):
+        path = str(tmp_path / "m.csv")
+        blocks = simulated_blocks(scheme, repetitions=repetitions)
+        save_measurements(path, blocks, scheme)
+
+        def no_scan(*args):
+            raise AssertionError("line scan used")
+
+        monkeypatch.setattr(data_io, "_scanned_stack", no_scan)
+        loaded, _ = load_measurements(path)
+        assert loaded.tobytes() == blocks.tobytes()
 
     def test_reanalysis_identical(self, tmp_path):
         # saving at repr precision keeps the statistics bit-identical
@@ -222,6 +256,22 @@ class TestMeasurementErrors:
         )
         with pytest.raises(DataFormatError, match="rows"):
             load_measurements(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("rows,message", [
+        ([",".join(["0.5"] * 16), "", "", ""], "block 1 has 1 rows, expected 4"),
+        ([",".join(["0.25"] * 8), "", ",".join(["0.25"] * 8), ""], "header declares 1 blocks but file contains 2"),
+        (["", "", "", ""], "header declares 1 blocks but file contains 0"),
+    ])
+    def test_empty_rows_not_made_up_by_wide_rows(self, tmp_path, rows, message):
+        # the right line count, with empty lines in place of rows and any
+        # values on wider rows; such a file never reaches the parser, so
+        # numpy does not warn of empty input either
+        text = "# spamtomo-measurements v1 scheme=n+1 blocks=1\n" + "\n".join(rows) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError) as excinfo:
+                load_measurements(self.write(tmp_path, text))
+        assert str(excinfo.value) == message
 
 
 def oracle_jsonify(obj):

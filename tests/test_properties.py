@@ -1,9 +1,9 @@
 """Property tests: the consistency identity and its symmetries on random
 stacks, the plates' Stokes rotations against their Jones matrices, the
 vector scores against their matrix forms, the measurement-file loader on
-random and fuzzed input, fuzzed configs, the simulator's samples against
-the run length and block size and as count fractions, and the report
-writer against json.dumps."""
+random and fuzzed input and against a line scan of every file, fuzzed
+configs, the simulator's samples against the run length and block size
+and as count fractions, and the report writer against json.dumps."""
 
 import json
 import math
@@ -46,6 +46,7 @@ from spamtomo import (  # noqa: E402
 )
 from spamtomo import optics  # noqa: E402
 from spamtomo.config import _KNOWN_KEYS  # noqa: E402
+from spamtomo.data_io import _first_malformed, _parse, _parse_header  # noqa: E402
 from conftest import matrix_fidelity, matrix_relative_error, sample_invertible, sample_stokes_ball  # noqa: E402
 from test_data_io import oracle_jsonify  # noqa: E402
 from test_optics import jones_observable, jones_state  # noqa: E402
@@ -158,15 +159,48 @@ MUTATION = st.one_of(
     st.tuples(st.just("duplicate"), st.integers(0, 99)),
     st.tuples(st.just("replace"), st.integers(0, 99), st.integers(0, 9), TOKENS),
     st.tuples(st.just("insert"), st.integers(0, 99), st.integers(0, 200), TOKENS),
+    st.tuples(st.just("blank"), st.integers(0, 99), st.sampled_from(["", " ", "\t", " \t "])),
+    st.tuples(st.just("widen"), st.integers(2, 6)),
+    st.tuples(st.just("blocks"), st.sampled_from([-2, -1, 1, 2])),
+    st.tuples(st.just("trailing"), st.integers(1, 3)),
+    st.tuples(st.just("crlf")),
+    st.tuples(st.just("bom")),
 )
 
 
 def mutate(lines, mutation):
-    kind, i = mutation[0], mutation[1] % len(lines)
+    """Apply one mutation to a file's lines; CRLF endings and a
+    byte-order mark are applied to the whole text when it is written."""
+    kind = mutation[0]
+    if kind == "blocks":
+        lines[0] = re.sub(r"blocks=(-?\d+)", lambda m: f"blocks={int(m.group(1)) + mutation[1]}", lines[0])
+        return
+    if kind == "trailing":
+        lines.extend([""] * mutation[1])
+        return
+    if kind == "widen":
+        # each `width` non-blank lines in a row joined into the first,
+        # leaving empty lines, so the line count stays and wide rows hold
+        # the missing values
+        width, first = mutation[1], None
+        for j in range(1, len(lines)):
+            if not lines[j].strip():
+                first = None
+            elif first is None or j - first == width:
+                first = j
+            else:
+                lines[first] += "," + lines[j]
+                lines[j] = ""
+        return
+    if kind in ("crlf", "bom"):
+        return
+    i = mutation[1] % len(lines)
     if kind == "drop":
         del lines[i]
     elif kind == "duplicate":
         lines.insert(i, lines[i])
+    elif kind == "blank":
+        lines.insert(i, mutation[2])
     elif kind == "replace":
         fields = lines[i].split(",")
         fields[mutation[2] % len(fields)] = mutation[3]
@@ -182,27 +216,90 @@ def reference_stack(text, n):
     return np.array([[float(v) for v in row.split(",")] for row in rows]).reshape(-1, n, n)
 
 
+def oracle_load_measurements(path):
+    """Test oracle: the measurement loader as it was when it read every
+    file with a line scan."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            raw_lines = handle.read().splitlines()
+    except FileNotFoundError:
+        raise DataFormatError(f"measurement file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"measurement file is not UTF-8 text: {exc}") from None
+    if not raw_lines:
+        raise DataFormatError("empty measurement file")
+    scheme, declared_blocks = _parse_header(raw_lines[0])
+    size = scheme.n_settings
+
+    blocks, current = [], []
+    for line in raw_lines[1:] + [""]:
+        if line.strip() == "":
+            if current:
+                blocks.append(current)
+                current = []
+            continue
+        current.append(line)
+
+    if len(blocks) != declared_blocks:
+        raise DataFormatError(
+            f"header declares {declared_blocks} blocks but file contains {len(blocks)}"
+        )
+
+    lines = [line for block in blocks for line in block]
+    try:
+        # with every block `size` rows long, the reshape fails exactly
+        # when some row does not have `size` columns
+        stack = _parse(lines).reshape(len(blocks), size, size) if lines else np.empty((0, size, size))
+    except ValueError:
+        stack = None
+    if stack is None or any(len(block) != size for block in blocks):
+        raise _first_malformed(blocks, size)
+    bad = ~(np.abs(stack) <= 1.0 + 1e-9)
+    if bad.any():
+        b, r, c = np.argwhere(bad)[0]
+        raise DataFormatError(
+            f"block {b + 1}, row {r + 1}, column {c + 1}: value {stack[b, r, c]} outside [-1, 1]",
+            block=b + 1, row=r + 1, col=c + 1,
+        )
+    return stack, scheme
+
+
+def load_outcome(load, path):
+    """What a loader makes of a file: the stack's shape and bytes, or the
+    exception's type, message and position."""
+    try:
+        stack, scheme = load(path)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "block", None), getattr(exc, "row", None), getattr(exc, "col", None)
+    return scheme, stack.shape, stack.dtype, stack.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
-@given(scheme=st.sampled_from(list(Scheme)), reps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-       mutations=st.lists(MUTATION, min_size=1, max_size=4))
-def test_fuzzed_measurement_text_loads_or_is_rejected(tmp_path_factory, scheme, reps, seed, mutations):
+@given(scheme=st.sampled_from(list(Scheme)), reps=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       digits=st.sampled_from([4, None]), mutations=st.lists(MUTATION, min_size=1, max_size=4))
+def test_fuzzed_measurement_text_loads_or_is_rejected(tmp_path_factory, scheme, reps, seed, digits, mutations):
     n = scheme.n_settings
+    stack = np.random.default_rng(seed).uniform(-1, 1, (reps, n, n))
     path = tmp_path_factory.mktemp("fuzz") / "m.csv"
-    save_measurements(str(path), np.random.default_rng(seed).uniform(-1, 1, (reps, n, n)), scheme)
+    save_measurements(str(path), stack if digits is None else np.round(stack, digits), scheme)
     lines = path.read_text(encoding="utf-8").split("\n")
     for mutation in mutations:
         if lines:
             mutate(lines, mutation)
-    text = "\n".join(lines)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    try:
-        stack, loaded_scheme = load_measurements(str(path))
-    except DataFormatError as exc:
-        if "not a number" in str(exc) or "outside" in str(exc):
-            assert None not in (exc.block, exc.row, exc.col)
+    kinds = {mutation[0] for mutation in mutations}
+    text = ("\r\n" if "crlf" in kinds else "\n").join(lines)
+    path.write_bytes((b"\xef\xbb\xbf" if "bom" in kinds else b"") + text.encode("utf-8"))
+    outcome = load_outcome(load_measurements, str(path))
+    assert outcome == load_outcome(oracle_load_measurements, str(path))
+    if not isinstance(outcome[0], Scheme):
+        kind, message, *position = outcome
+        assert kind is DataFormatError
+        if "not a number" in message or "outside" in message:
+            assert None not in position
         return
-    assert stack.shape[1:] == (loaded_scheme.n_settings,) * 2
+    loaded_scheme, shape, _, data = outcome
+    stack = np.frombuffer(data).reshape(shape)
+    assert shape[1:] == (loaded_scheme.n_settings,) * 2
     assert np.all(np.abs(stack) <= 1.0 + 1e-9)
     np.testing.assert_array_equal(stack, reference_stack(text, loaded_scheme.n_settings))
 
