@@ -12,19 +12,18 @@ from spamtomo import (
     NoiseModel,
     SourceKind,
     default_settings,
-    measurement_observable,
-    prepare_state,
     run_experiment,
-    stokes_from_density,
+    theoretical_observables,
+    theoretical_states,
     true_expectation_matrix,
 )
 
 np.set_printoptions(precision=4, suppress=True)
 
 print("-- default settings (angles in units of pi) --")
-for k, setting in enumerate(default_settings("2n"), start=1):
-    s = stokes_from_density(prepare_state(SourceKind.PURE_H, setting))
-    w = measurement_observable(setting)
+nominal = ExperimentPlan(source=SourceKind.PURE_H)
+states, observables = theoretical_states(nominal), theoretical_observables(nominal).T
+for k, (setting, s, w) in enumerate(zip(default_settings("2n"), states, observables), start=1):
     print(
         f"setting {k}: qwp={setting.qwp_angle/np.pi:.4f}pi hwp={setting.hwp_angle/np.pi:.4f}pi"
         f"   prep s={s}   meas w={w}"

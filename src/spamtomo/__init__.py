@@ -7,7 +7,7 @@ states and detector POVMs by matrix inversion when the data are clean.
 """
 
 from .config import RunConfig, config_from_dict, load_config, parse_angle
-from .data_io import emit_plot_data, load_measurements, read_report, save_measurements, write_report
+from .data_io import emit_plot_data, load_measurements, save_measurements, write_report
 from .detect import (
     DeltaStats,
     DetectionReport,
@@ -39,33 +39,12 @@ from .optics import (
     SourceKind,
     WavePlateSetting,
     default_settings,
-    measurement_observable,
-    prepare_state,
     run_experiment,
-    source_density,
     theoretical_observables,
     theoretical_states,
     true_expectation_matrix,
 )
-from .qubit import (
-    IDENTITY_2,
-    PAULI,
-    SIGMA_1,
-    SIGMA_2,
-    SIGMA_3,
-    PovmPair,
-    apply_gauge,
-    born_probability,
-    check_density,
-    density_from_stokes,
-    expectation,
-    fidelity,
-    observable_from_povm,
-    povm_element_fidelity,
-    povm_from_observable,
-    relative_error,
-    stokes_from_density,
-)
+from .qubit import fidelity, povm_element_fidelity, relative_error
 from .reconstruct import (
     LoopResult,
     ReconstructionScore,

@@ -22,7 +22,6 @@ significance grids) is additionally emitted as labelled CSV for external
 plotting.
 """
 
-import json
 import math
 from json.encoder import encode_basestring_ascii
 
@@ -233,11 +232,6 @@ def write_report(path, report_dict):
     text = _json_text(report_dict, "\n")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
-
-
-def read_report(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def emit_plot_data(report, path):

@@ -26,18 +26,20 @@ import numpy as np
 from ._linalg import guarded_inv3
 from .errors import ShapeError
 from .optics import Scheme
+from .qubit import ATOL_INPUT
 
 _CORNERS = ("upper-left corner", "lower-right corner")
 
 
-def validate_expectation_matrix(values, atol=1e-9):
+def validate_expectation_matrix(values):
     """Check shape (6x6 or 4x4, or a stack of either) and that every entry
-    is an expectation value in [-1, 1] up to ``atol``; NaN fails the range
-    test.  In a stack the error names the sample (``sample k:``, 1-based)."""
+    is an expectation value in [-1, 1] up to ``ATOL_INPUT``; NaN fails the
+    range test.  In a stack the error names the sample (``sample k:``,
+    1-based)."""
     values = np.asarray(values, dtype=float)
     if values.shape[-2:] not in ((6, 6), (4, 4)):
         raise ShapeError(f"expectation matrix must be 6x6 or 4x4, got shape {values.shape}")
-    bad = ~(np.abs(values) <= 1.0 + atol)
+    bad = ~(np.abs(values) <= 1.0 + ATOL_INPUT)
     if bad.any():
         index = tuple(np.argwhere(bad)[0])
         *samples, r, c = index

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonPhysicalError
-from .qubit import density_from_stokes
 
 # Default wave-plate rotation angles for the six settings, chosen to
 # sample the state and observable spaces (H/V, circular, diagonal, and
@@ -97,11 +96,6 @@ _SOURCE_STOKES = {SourceKind.PURE_H: (0.0, 0.0, 1.0), SourceKind.MIXED: (0.0, 0.
 
 # The splitter's observable: its transmitted (horizontal) port is +1.
 _Z = (0.0, 0.0, 1.0)
-
-
-def source_density(kind):
-    """Density matrix emitted by the source before the preparation plates."""
-    return density_from_stokes(np.array(_SOURCE_STOKES[SourceKind(kind)]))
 
 
 @dataclass(frozen=True)
@@ -182,26 +176,6 @@ def _meas_vectors(qwp_angles, hwp_angles):
     splitter's ``z`` pulled back through the half-wave plate, then the
     quarter-wave plate."""
     return _quarter_wave(qwp_angles, _half_wave(hwp_angles, _Z), -1.0)
-
-
-def prepare_state(source, setting):
-    """Density matrix after the preparation plates.
-
-    The plates rotate the source's Stokes vector, so its purity is
-    preserved.
-    """
-    return density_from_stokes(np.array(_prep_stokes(SourceKind(source), setting.qwp_angle, setting.hwp_angle)))
-
-
-def measurement_observable(setting):
-    """Observable vector of the analyser for one setting.
-
-    The transmitted splitter port is the positive outcome, so the
-    observable is ``U^dag sigma_3 U`` pulled back through the measurement
-    plates; the returned vector has unit norm (ideal projective
-    measurement).
-    """
-    return np.array(_meas_vectors(setting.qwp_angle, setting.hwp_angle))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,10 @@ new observables from the upper-right, more states from the lower-right -
 and then checking the lower-left block against the recovered pieces is
 the loop self-consistency test.
 
-Inverted vectors can land slightly outside the physical unit ball; they
-are rescaled onto the sphere and flagged (the rescaled vector is pure).
-Inside the loop the raw inverted values are carried between legs and the
-rescaling is applied only at the end, so projection bias does not
-compound.
+Inverted vectors can land slightly outside the physical unit ball.  The
+loop carries the raw inverted values between legs and only at the end
+rescales those outside onto the sphere and flags them (the rescaled
+vector is pure), so projection bias does not compound.
 """
 
 from dataclasses import dataclass
@@ -34,40 +33,34 @@ def _clip_to_ball(vectors, axis):
     return scaled, flags.reshape(-1)
 
 
-def qst_invert(s_block, w_block, renormalize=True):
+def qst_invert(s_block, w_block):
     """State tomography: recover Stokes rows from ``P = S W^-1``.
 
     ``s_block`` is Mx3 (one row per preparation, restricted to the three
     settings whose observables are known) and ``w_block`` holds those
-    three observable columns.  Returns ``(rows, flags)`` where ``flags``
-    marks rows that were rescaled onto the unit sphere.
+    three observable columns.  Returns the raw Mx3 rows, which may leave
+    the unit ball.
     """
     s_block = np.asarray(s_block, dtype=float)
     if s_block.ndim != 2 or s_block.shape[1] != 3:
         raise ShapeError(f"state tomography needs an Mx3 block, got shape {s_block.shape}")
     w_inv = guarded_inv3(np.asarray(w_block, dtype=float), where="measurement block")
-    rows = s_block @ w_inv
-    if renormalize:
-        return _clip_to_ball(rows, axis=1)
-    return rows, np.zeros(rows.shape[0], dtype=bool)
+    return s_block @ w_inv
 
 
-def qdt_invert(s_block, p_block, renormalize=True):
+def qdt_invert(s_block, p_block):
     """Detector tomography: recover observable columns from ``W = P^-1 S``.
 
     ``s_block`` is 3xN (one column per setting, restricted to the three
     preparations whose states are known) and ``p_block`` holds those
-    three Stokes rows.  Returns ``(cols, flags)``.
+    three Stokes rows.  Returns the raw 3xN columns, which may leave the
+    unit ball.
     """
     s_block = np.asarray(s_block, dtype=float)
     if s_block.ndim != 2 or s_block.shape[0] != 3:
         raise ShapeError(f"detector tomography needs a 3xN block, got shape {s_block.shape}")
     p_inv = guarded_inv3(np.asarray(p_block, dtype=float), where="preparation block")
-    cols = p_inv @ s_block
-    if renormalize:
-        scaled, flags = _clip_to_ball(cols.T, axis=1)
-        return scaled.T, flags
-    return cols, np.zeros(cols.shape[1], dtype=bool)
+    return p_inv @ s_block
 
 
 @dataclass(frozen=True)
@@ -102,15 +95,15 @@ def loop_bootstrap(values, known_w, renormalize=True):
 
     a, b, c, d = values[:3, :3], values[:3, 3:], values[3:, :3], values[3:, 3:]
     try:
-        p_first, _ = qst_invert(a, known_w, renormalize=False)
+        p_first = qst_invert(a, known_w)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"state-tomography leg on the upper-left block: {exc}", where=exc.where) from exc
     try:
-        w_rest, _ = qdt_invert(b, p_first, renormalize=False)
+        w_rest = qdt_invert(b, p_first)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"detector-tomography leg on the upper-right block: {exc}", where=exc.where) from exc
     try:
-        p_rest, _ = qst_invert(d, w_rest, renormalize=False)
+        p_rest = qst_invert(d, w_rest)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"state-tomography leg on the lower-right block: {exc}", where=exc.where) from exc
 

@@ -124,8 +124,9 @@ def _obtain_samples(config, plan):
         stack, scheme = load_measurements(config.input_data_path)
         if scheme != plan.scheme:
             raise ConfigError(
-                f"data file uses scheme {scheme.value} but the configuration says "
-                f"{plan.scheme.value}",
+                f"data file uses scheme {scheme.value} but the run's scheme is {plan.scheme.value}; "
+                f'set the run\'s scheme to the file\'s (config key "scheme": "{scheme.value}" '
+                f"or --scheme {scheme.value})",
                 field="scheme",
             )
         return validate_expectation_matrix(stack)

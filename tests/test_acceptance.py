@@ -26,11 +26,10 @@ from spamtomo import (
     localize,
     loop_bootstrap,
     partial_determinant,
-    prepare_state,
     run,
     run_experiment,
-    stokes_from_density,
     theoretical_observables,
+    theoretical_states,
     true_expectation_matrix,
     write_outputs,
 )
@@ -252,9 +251,7 @@ def test_criterion_08_loop_bootstrap_noiseless():
     matrix = true_expectation_matrix(plan)
     known = theoretical_observables(plan)[:, :3]
     result = loop_bootstrap(matrix, known)
-    rows_true = np.array(
-        [stokes_from_density(prepare_state(plan.source, s)) for s in plan.prep_settings]
-    )
+    rows_true = theoretical_states(plan)
     cols_true = theoretical_observables(plan)
     assert result.consistency_residual < 1e-9
     np.testing.assert_allclose(result.prep_stokes, rows_true, atol=1e-9)

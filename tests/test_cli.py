@@ -62,6 +62,22 @@ class TestCli:
         )
         assert code == 0
 
+    def test_analyze_compact_record_needs_its_scheme(self, tmp_path, capsys):
+        # an n+1 record analysed in the default scheme is refused with the
+        # fix named; in its own scheme it is analysed
+        out_a = str(tmp_path / "a")
+        assert main(["simulate", "--seed", "3", "--scheme", "n+1", "--out", out_a]) == 0
+        data = os.path.join(out_a, "measurements.csv")
+        capsys.readouterr()
+        assert main(["analyze", "--data", data, "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert "data file uses scheme n+1" in err
+        assert '"scheme": "n+1"' in err and "--scheme n+1" in err
+        code = main(["analyze", "--data", data, "--scheme", "n+1", "--out", str(tmp_path / "c")])
+        assert code in (0, 2)
+        with open(tmp_path / "c" / "report.json") as handle:
+            assert json.load(handle)["scheme"] == "n+1"
+
     def test_analyze_data_with_byte_order_mark(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

@@ -16,7 +16,6 @@ from spamtomo import (
     delta_statistics,
     emit_plot_data,
     load_measurements,
-    read_report,
     run_experiment,
     save_measurements,
     validate_expectation_matrix,
@@ -305,7 +304,8 @@ class TestReports:
             },
         }
         write_report(path, payload)
-        loaded = read_report(path)
+        with open(path) as handle:
+            loaded = json.load(handle)
         assert loaded["scheme"] == "2n"
         assert loaded["delta_stats"]["repetitions"] == 10
         assert loaded["delta_stats"]["mean"] == [[0.0] * 3] * 3
@@ -332,7 +332,7 @@ class TestReports:
             np.asarray(loaded["delta_stats"]["significance"], dtype=float), significance
         )
         grids = str(tmp_path / "grids.csv")
-        emit_plot_data(read_report(path), grids)
+        emit_plot_data(loaded, grids)
         assert "inf,1.0,0.0" in open(grids).read()
 
     def test_bytes_equal_streaming_encoder(self, tmp_path):

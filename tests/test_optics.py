@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from spamtomo import (
-    PAULI,
-    SIGMA_3,
     ConfigError,
     ErrorInjection,
     ExperimentPlan,
@@ -15,19 +13,29 @@ from spamtomo import (
     SourceKind,
     WavePlateSetting,
     default_settings,
-    measurement_observable,
-    prepare_state,
     run_experiment,
-    source_density,
-    stokes_from_density,
     theoretical_observables,
+    theoretical_states,
     true_expectation_matrix,
 )
 from spamtomo import optics
 from spamtomo.optics import _expectation_matrix, _half_wave, _plate_angles, _quarter_wave
+from spamtomo.qubit import PAULI
 
 RHO_H = np.diag([1.0, 0.0]).astype(complex)
 H_STOKES = np.array([0.0, 0.0, 1.0])
+# The source's density matrix: pure horizontal, or a 3:1 H/V mixture.
+SOURCE_RHO = {SourceKind.PURE_H: RHO_H, SourceKind.MIXED: np.diag([0.75, 0.25]).astype(complex)}
+
+
+def state_at(source, setting):
+    """Stokes vector the simulator prepares at one plate setting."""
+    return theoretical_states(ExperimentPlan(source=source, prep_settings=(setting,) * 6))[0]
+
+
+def observable_at(setting):
+    """Observable vector the simulator analyses at one plate setting."""
+    return theoretical_observables(ExperimentPlan(meas_settings=(setting,) * 6))[:, 0]
 
 
 # Jones-matrix oracle: the plates as 2x2 unitaries on the (H, V)
@@ -54,15 +62,15 @@ def conjugate_stokes(u, rho):
 
 
 def jones_state(source, setting):
-    """Oracle preparation: the source conjugated by ``qwp @ hwp``."""
-    u = qwp_jones(setting.qwp_angle) @ hwp_jones(setting.hwp_angle)
-    return u @ source_density(source) @ u.conj().T
+    """Oracle preparation: the Stokes vector of the source conjugated by
+    ``qwp @ hwp``."""
+    return conjugate_stokes(qwp_jones(setting.qwp_angle) @ hwp_jones(setting.hwp_angle), SOURCE_RHO[source])
 
 
 def jones_observable(setting):
     """Oracle analyser: the vector of ``U^dag sigma_3 U``, ``U = hwp @ qwp``."""
     u = hwp_jones(setting.hwp_angle) @ qwp_jones(setting.qwp_angle)
-    return np.real(np.einsum("ij,mji->m", u.conj().T @ SIGMA_3 @ u, PAULI)) / 2.0
+    return np.real(np.einsum("ij,mji->m", u.conj().T @ PAULI[2] @ u, PAULI)) / 2.0
 
 
 def plate_matrices(theta):
@@ -129,51 +137,45 @@ class TestPlateUnitaries:
 
 class TestPrepareState:
     def test_pure_h_untouched_at_zero(self):
-        rho = prepare_state(SourceKind.PURE_H, WavePlateSetting(0.0, 0.0))
-        np.testing.assert_allclose(rho, RHO_H, atol=1e-12)
+        np.testing.assert_allclose(state_at(SourceKind.PURE_H, WavePlateSetting(0.0, 0.0)), H_STOKES, atol=1e-12)
 
     def test_mixed_untouched_at_zero(self):
-        rho = prepare_state(SourceKind.MIXED, WavePlateSetting(0.0, 0.0))
-        np.testing.assert_allclose(rho, np.diag([0.75, 0.25]), atol=1e-12)
+        np.testing.assert_allclose(state_at(SourceKind.MIXED, WavePlateSetting(0.0, 0.0)), [0, 0, 0.5], atol=1e-12)
 
     def test_circular_preparation(self):
-        rho = prepare_state(SourceKind.PURE_H, WavePlateSetting(np.pi / 4, 0.0))
-        s = stokes_from_density(rho)
+        s = state_at(SourceKind.PURE_H, WavePlateSetting(np.pi / 4, 0.0))
         assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
         assert s[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_purity_preserved(self, rng):
+        # the plates rotate the source's Stokes vector, so its length (the
+        # purity (1 + |s|^2) / 2) is kept
         for q, h in rng.uniform(0, np.pi, (100, 2)):
-            for kind in SourceKind:
-                rho0 = source_density(kind)
-                rho = prepare_state(kind, WavePlateSetting(q, h))
-                assert np.trace(rho @ rho).real == pytest.approx(
-                    np.trace(rho0 @ rho0).real, abs=1e-12
-                )
+            for kind, radius in ((SourceKind.PURE_H, 1.0), (SourceKind.MIXED, 0.5)):
+                s = state_at(kind, WavePlateSetting(q, h))
+                assert np.linalg.norm(s) == pytest.approx(radius, abs=1e-12)
 
 
 class TestMeasurementObservable:
     def test_bare_splitter(self):
-        np.testing.assert_allclose(
-            measurement_observable(WavePlateSetting(0.0, 0.0)), [0, 0, 1], atol=1e-12
-        )
+        np.testing.assert_allclose(observable_at(WavePlateSetting(0.0, 0.0)), [0, 0, 1], atol=1e-12)
 
     def test_diagonal_basis(self):
         # quarter plate at pi/4 with half plate at pi/8 analyses the
         # diagonal basis (cross-checked by conjugating sigma_3 directly)
-        w = measurement_observable(WavePlateSetting(np.pi / 4, np.pi / 8))
+        w = observable_at(WavePlateSetting(np.pi / 4, np.pi / 8))
         np.testing.assert_allclose(w, [1, 0, 0], atol=1e-12)
 
     def test_circular_basis_sign(self):
-        w = measurement_observable(WavePlateSetting(np.pi / 4, 0.0))
+        w = observable_at(WavePlateSetting(np.pi / 4, 0.0))
         np.testing.assert_allclose(w, [0, 1, 0], atol=1e-12)
         # sign convention check: preparation 2 x setting 2 gives -1
-        s2 = stokes_from_density(prepare_state(SourceKind.PURE_H, WavePlateSetting(np.pi / 4, 0.0)))
+        s2 = state_at(SourceKind.PURE_H, WavePlateSetting(np.pi / 4, 0.0))
         assert s2 @ w == pytest.approx(-1.0, abs=1e-12)
 
     def test_projective_norm(self, rng):
         for q, h in rng.uniform(0, np.pi, (100, 2)):
-            w = measurement_observable(WavePlateSetting(q, h))
+            w = observable_at(WavePlateSetting(q, h))
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -275,9 +277,7 @@ class TestRunExperiment:
             repetitions=2,
         )
         samples = run_experiment(plan)
-        rows = np.array(
-            [stokes_from_density(prepare_state(plan.source, s)) for s in plan.prep_settings]
-        )
+        rows = theoretical_states(plan)
         cols = theoretical_observables(plan)
         for matrix in samples:
             np.testing.assert_allclose(matrix, rows @ cols, atol=1e-12)

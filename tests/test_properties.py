@@ -26,30 +26,27 @@ from spamtomo import (  # noqa: E402
     Scheme,
     SourceKind,
     WavePlateSetting,
-    apply_gauge,
     config_from_dict,
     default_settings,
     delta_statistics,
-    density_from_stokes,
     detect,
     fidelity,
     load_measurements,
-    measurement_observable,
     partial_determinant,
-    povm_from_observable,
-    prepare_state,
     relative_error,
     run_experiment,
     save_measurements,
-    source_density,
+    theoretical_observables,
+    theoretical_states,
     write_report,
 )
 from spamtomo import optics  # noqa: E402
 from spamtomo.config import _KNOWN_KEYS  # noqa: E402
 from spamtomo.data_io import _first_malformed, _parse, _parse_header  # noqa: E402
+from spamtomo.qubit import density_from_stokes, povm_from_observable  # noqa: E402
 from conftest import matrix_fidelity, matrix_relative_error, sample_invertible, sample_stokes_ball  # noqa: E402
 from test_data_io import oracle_jsonify  # noqa: E402
-from test_optics import jones_observable, jones_state  # noqa: E402
+from test_optics import SOURCE_RHO, jones_observable, jones_state  # noqa: E402
 
 
 def full_rank_factors(rng, count):
@@ -80,7 +77,8 @@ class TestProperties:
         stack, gauged = [], []
         for p, w in full_rank_factors(rng, 5):
             noise = 0.05 * rng.standard_normal((6, 6))
-            p_g, w_g = apply_gauge(p, w, sample_invertible(rng))
+            g = sample_invertible(rng)
+            p_g, w_g = p @ np.linalg.inv(g), g @ w
             stack.append(p @ w + noise)
             gauged.append(p_g @ w_g + noise)
         delta = partial_determinant(np.array(stack))
@@ -311,11 +309,13 @@ ANGLE = st.floats(-10.0, 10.0)
 @given(source=st.sampled_from(list(SourceKind)), qwp=ANGLE, hwp=ANGLE)
 def test_plate_rotations_match_jones_conjugation(source, qwp, hwp):
     setting = WavePlateSetting(qwp, hwp)
-    rho = prepare_state(source, setting)
-    np.testing.assert_allclose(rho, jones_state(source, setting), rtol=0, atol=1e-12)
-    rho0 = source_density(source)
-    assert np.trace(rho @ rho).real == pytest.approx(np.trace(rho0 @ rho0).real, abs=1e-12)
-    w = measurement_observable(setting)
+    plan = ExperimentPlan(source=source, prep_settings=(setting,) * 6, meas_settings=(setting,) * 6)
+    s = theoretical_states(plan)[0]
+    np.testing.assert_allclose(s, jones_state(source, setting), rtol=0, atol=1e-12)
+    # the plates keep the source's purity tr(rho^2) = (1 + |s|^2) / 2
+    rho0 = SOURCE_RHO[source]
+    assert (1.0 + s @ s) / 2.0 == pytest.approx(np.trace(rho0 @ rho0).real, abs=1e-12)
+    w = theoretical_observables(plan)[:, 0]
     np.testing.assert_allclose(w, jones_observable(setting), rtol=0, atol=1e-12)
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 

@@ -6,18 +6,16 @@ from spamtomo import (
     NoiseModel,
     ShapeError,
     SingularMatrixError,
-    apply_gauge,
-    density_from_stokes,
     loop_bootstrap,
-    povm_from_observable,
     qdt_invert,
     qst_invert,
     run_experiment,
     score_reconstruction,
-    stokes_from_density,
     theoretical_observables,
+    theoretical_states,
     true_expectation_matrix,
 )
+from spamtomo.qubit import density_from_stokes, povm_from_observable
 from conftest import matrix_fidelity, matrix_relative_error, sample_invertible, sample_stokes_ball
 
 
@@ -28,11 +26,7 @@ def noiseless_plan(seed=0):
 
 
 def truth(plan):
-    from spamtomo import prepare_state
-
-    rows = np.array([stokes_from_density(prepare_state(plan.source, s)) for s in plan.prep_settings])
-    cols = theoretical_observables(plan)
-    return rows, cols
+    return theoretical_states(plan), theoretical_observables(plan)
 
 
 class TestQstInvert:
@@ -41,24 +35,18 @@ class TestQstInvert:
         # state rows themselves
         w = np.eye(3)
         s = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-        rows, flags = qst_invert(s, w)
-        np.testing.assert_allclose(rows, np.eye(3), atol=1e-12)
-        assert not flags.any()
+        np.testing.assert_allclose(qst_invert(s, w), np.eye(3), atol=1e-12)
 
     def test_round_trip_against_bench_truth(self):
         plan = noiseless_plan()
         rows_true, cols_true = truth(plan)
         s = true_expectation_matrix(plan)
-        rows, _ = qst_invert(s[:, :3], cols_true[:, :3])
-        np.testing.assert_allclose(rows, rows_true, atol=1e-10)
+        np.testing.assert_allclose(qst_invert(s[:, :3], cols_true[:, :3]), rows_true, atol=1e-10)
 
-    def test_renormalization_flags(self):
-        w = np.eye(3)
+    def test_returns_raw_rows(self):
+        # a row outside the unit ball is returned as inverted
         s = np.array([[1.2, 0, 0], [0, 0.5, 0]])
-        rows, flags = qst_invert(s, w)
-        assert flags.tolist() == [True, False]
-        assert np.linalg.norm(rows[0]) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(rows[1]) == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(qst_invert(s, np.eye(3)), s, atol=1e-12)
 
     def test_singular_measurement_block(self):
         w = np.zeros((3, 3))
@@ -70,24 +58,20 @@ class TestQdtInvert:
     def test_axis_states_recover_axis_observables(self):
         p = np.eye(3)
         s = np.diag([1.0, -1.0, 1.0])
-        cols, flags = qdt_invert(s, p)
-        np.testing.assert_allclose(cols, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
-        assert not flags.any()
+        np.testing.assert_allclose(qdt_invert(s, p), np.diag([1.0, -1.0, 1.0]), atol=1e-12)
 
     def test_round_trip_against_bench_truth(self):
         plan = noiseless_plan()
         rows_true, cols_true = truth(plan)
         s = true_expectation_matrix(plan)
-        cols, _ = qdt_invert(s[:3, :], rows_true[:3])
-        np.testing.assert_allclose(cols, cols_true, atol=1e-10)
+        np.testing.assert_allclose(qdt_invert(s[:3, :], rows_true[:3]), cols_true, atol=1e-10)
 
     def test_inversion_round_trip(self):
         plan = noiseless_plan()
         rows_true, cols_true = truth(plan)
         s = true_expectation_matrix(plan)
-        cols, _ = qdt_invert(s[:3, :3], rows_true[:3], renormalize=False)
-        rows, _ = qst_invert(s[:, :3], cols, renormalize=False)
-        np.testing.assert_allclose(rows, rows_true, atol=1e-10)
+        cols = qdt_invert(s[:3, :3], rows_true[:3])
+        np.testing.assert_allclose(qst_invert(s[:, :3], cols), rows_true, atol=1e-10)
 
     def test_singular_preparation_block(self):
         with pytest.raises(SingularMatrixError, match="preparation"):
@@ -137,7 +121,7 @@ class TestLoopBootstrap:
         s = true_expectation_matrix(plan)
         for _ in range(10):
             g = sample_invertible(rng)
-            _, known_gauged = apply_gauge(np.zeros((1, 3)), cols_true[:, :3], g)
+            known_gauged = g @ cols_true[:, :3]
             base = loop_bootstrap(s, cols_true[:, :3], renormalize=False)
             gauged = loop_bootstrap(s, known_gauged, renormalize=False)
             np.testing.assert_allclose(
@@ -146,6 +130,20 @@ class TestLoopBootstrap:
                 atol=1e-9,
             )
             np.testing.assert_allclose(gauged.obs_vectors[:, :3], g @ cols_true[:, :3], atol=1e-9)
+
+    def test_rescales_rows_outside_ball(self):
+        # factors inside the ball, except preparation 5 at |s| = 1.2: the
+        # loop recovers that row raw and then rescales and flags it alone
+        rows_true, cols_true = truth(noiseless_plan())
+        rows, cols = 0.9 * rows_true, 0.9 * cols_true
+        rows[4] = 1.2 * rows_true[4]
+        result = loop_bootstrap(rows @ cols, cols[:, :3])
+        assert result.prep_renormalized.tolist() == [False, False, False, False, True, False]
+        assert not result.obs_renormalized.any()
+        assert np.linalg.norm(result.prep_stokes[4]) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(result.prep_stokes[4], rows_true[4], atol=1e-9)
+        np.testing.assert_allclose(np.delete(result.prep_stokes, 4, axis=0), np.delete(rows, 4, axis=0), atol=1e-9)
+        np.testing.assert_allclose(result.obs_vectors, cols, atol=1e-9)
 
     def test_shape_checks(self):
         with pytest.raises(ShapeError):

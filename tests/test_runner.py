@@ -15,7 +15,6 @@ from spamtomo import (
     Scheme,
     emit_plot_data,
     load_measurements,
-    read_report,
     run,
     save_measurements,
     write_outputs,
@@ -156,7 +155,7 @@ class TestOutputs:
         payload = json.loads(open(paths["report"]).read(), parse_constant=reject)
         assert payload["schema"] == "spamtomo-report v4"
         assert "inf" in [v for row in payload["delta_stats"]["significance"] for v in row]
-        emit_plot_data(read_report(paths["report"]), str(tmp_path / "again.csv"))
+        emit_plot_data(payload, str(tmp_path / "again.csv"))
         assert open(tmp_path / "again.csv").read() == open(paths["plot_grids"]).read()
 
     def test_detected_run_report_carries_candidates(self, tmp_path):
