@@ -1,4 +1,4 @@
-"""Closed-form 3x3 determinant, adjugate and guarded inverse over stacks.
+"""Closed-form 3x3 adjugate and guarded inverse over stacks.
 
 The corner blocks of every repetition's expectation matrix are inverted
 in one pass, so the inverse is computed branch-free from the adjugate on
@@ -16,14 +16,6 @@ from .errors import SingularMatrixError
 DET_RTOL = 1e-10
 
 
-def det3(m):
-    return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-    )
-
-
 def adjugate3(m):
     adj = np.empty(m.shape, dtype=m.dtype)
     adj[..., 0, 0] = m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1]
@@ -38,7 +30,7 @@ def adjugate3(m):
     return adj
 
 
-def guarded_inv3(m, where="matrix"):
+def guarded_inv3(m, where):
     """Invert a 3x3 matrix, or every matrix of a ``(..., 3, 3)`` stack,
     raising :class:`SingularMatrixError` when a determinant is not finite
     or is small relative to the matrix scale.
@@ -53,7 +45,9 @@ def guarded_inv3(m, where="matrix"):
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise SingularMatrixError(f"{where} must be 3x3, got shape {m.shape}", where=where)
-    det = det3(m)
+    adj = adjugate3(m)
+    # cofactor expansion along the first row: the adjugate's first column
+    det = m[..., 0, 0] * adj[..., 0, 0] + m[..., 0, 1] * adj[..., 1, 0] + m[..., 0, 2] * adj[..., 2, 0]
     scale = (np.linalg.norm(m, axis=(-2, -1)) / np.sqrt(3.0)) ** 3
     singular = ~np.isfinite(det) | (np.abs(det) <= DET_RTOL * scale)
     if singular.any():
@@ -64,4 +58,4 @@ def guarded_inv3(m, where="matrix"):
             f"{prefix}near-singular {name}: |det| = {abs(det[index]):.3e} at scale {scale[index]:.3e}",
             where=name,
         )
-    return adjugate3(m) / det[..., None, None]
+    return adj / det[..., None, None]

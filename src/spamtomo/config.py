@@ -48,8 +48,6 @@ from .optics import (
     ErrorInjection,
     ExperimentPlan,
     NoiseModel,
-    Scheme,
-    SourceKind,
     WavePlateSetting,
     _is_finite_real,
 )
@@ -177,16 +175,6 @@ def _parse_settings(raw, key):
     return tuple(settings)
 
 
-def _parse_enum(kind, raw, key, default):
-    if key not in raw:
-        return default
-    try:
-        return kind(raw[key])
-    except ValueError:
-        choices = [member.value for member in kind]
-        raise ConfigError(f"{key} must be one of {choices}, got {raw[key]!r}", field=key) from None
-
-
 def _parse_index(value, name):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}", field=name)
@@ -240,23 +228,19 @@ def config_from_dict(raw):
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}", field=sorted(unknown)[0])
 
-    scheme = _parse_enum(Scheme, raw, "scheme", ExperimentPlan.scheme)
     shots = raw.get("shots", DEFAULT_SHOTS)
     if isinstance(shots, str):
         if shots.lower() in ("inf", "infinite", "analytic"):
             shots = None
         else:
             raise ConfigError(f"shots must be an integer, null or 'inf', got {shots!r}", field="shots")
-    if shots is not None:
-        if isinstance(shots, bool) or not isinstance(shots, int):
-            raise ConfigError(f"shots must be an integer, got {shots!r}", field="shots")
 
     try:
         experiment = ExperimentPlan(
-            source=_parse_enum(SourceKind, raw, "state", ExperimentPlan.source),
+            source=raw.get("state", ExperimentPlan.source),
             prep_settings=_parse_settings(raw["prep_angles"], "prep_angles") if "prep_angles" in raw else None,
             meas_settings=_parse_settings(raw["meas_angles"], "meas_angles") if "meas_angles" in raw else None,
-            scheme=scheme,
+            scheme=raw.get("scheme", ExperimentPlan.scheme),
             errors=_parse_injections(raw.get("error_injections", [])),
             noise=NoiseModel(
                 shots_per_setting=shots,

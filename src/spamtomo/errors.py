@@ -8,8 +8,9 @@ class SpamTomoError(Exception):
 class NonPhysicalError(SpamTomoError, ValueError):
     """An operator or vector violates a physicality constraint.
 
-    Raised for Stokes/observable vectors outside the unit ball, biased or
-    non-positive POVM pairs, non-PSD operators and degenerate norms.
+    Raised for Stokes or observable vectors that do not have three
+    components or lie outside the unit ball, and for non-finite wave-plate
+    angles.
     """
 
 

@@ -189,12 +189,17 @@ class ErrorInjection:
     hwp_offset: float
 
     def __post_init__(self):
-        if self.prep_index < 1 or self.setting_index < 1:
+        for index in (self.prep_index, self.setting_index):
+            if isinstance(index, bool) or not isinstance(index, numbers.Integral) or index < 1:
+                raise ConfigError(
+                    f"error_injections: prep and setting must be integers >= 1, got ({self.prep_index!r}, {self.setting_index!r})",
+                    field="error_injections",
+                )
+        if not _is_finite_real(self.hwp_offset):
             raise ConfigError(
-                f"injection indices must be >= 1, got ({self.prep_index}, {self.setting_index})"
+                f"error_injections: hwp_offset must be a finite number, got {self.hwp_offset!r}",
+                field="error_injections",
             )
-        if not math.isfinite(self.hwp_offset):
-            raise ConfigError(f"hwp_offset must be finite, got {self.hwp_offset}")
 
 
 @dataclass(frozen=True)
@@ -214,12 +219,16 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        # the binomial sampler takes at most 2**63 - 1 trials
-        if self.shots_per_setting is not None and not 1 <= self.shots_per_setting < 2**63:
-            raise ConfigError(
-                f"shots_per_setting must be in [1, 2**63 - 1] (or None for analytic mode), got {self.shots_per_setting}",
-                field="shots",
-            )
+        shots = self.shots_per_setting
+        if shots is not None:
+            if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+                raise ConfigError(f"shots must be an integer, got {shots!r}", field="shots")
+            # the binomial sampler takes at most 2**63 - 1 trials
+            if not 1 <= shots < 2**63:
+                raise ConfigError(
+                    f"shots_per_setting must be in [1, 2**63 - 1] (or None for analytic mode), got {shots}",
+                    field="shots",
+                )
         if not (_is_finite_real(self.angle_jitter_sigma) and self.angle_jitter_sigma >= 0):
             raise ConfigError(
                 f"angle_jitter_sigma must be a finite number >= 0, got {self.angle_jitter_sigma!r}",
@@ -245,8 +254,13 @@ class ExperimentPlan:
     repetitions: int = DEFAULT_REPETITIONS
 
     def __post_init__(self):
-        object.__setattr__(self, "source", SourceKind(self.source))
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
+        for name, kind, key in (("source", SourceKind, "state"), ("scheme", Scheme, "scheme")):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, kind(value))
+            except ValueError:
+                choices = [member.value for member in kind]
+                raise ConfigError(f"{key} must be one of {choices}, got {value!r}", field=key) from None
         object.__setattr__(self, "errors", tuple(self.errors))
         n = self.scheme.n_settings
         for name, key in (("prep_settings", "prep_angles"), ("meas_settings", "meas_angles")):

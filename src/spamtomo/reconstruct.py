@@ -24,10 +24,10 @@ from .errors import ShapeError, SingularMatrixError
 from .qubit import fidelity, povm_element_fidelity, relative_error
 
 
-def _clip_to_ball(vectors, axis):
-    """Rescale vectors with norm > 1 onto the unit sphere; flag them."""
+def _clip_to_ball(vectors):
+    """Rescale the rows with norm > 1 onto the unit sphere; flag them."""
     vectors = np.array(vectors, dtype=float)
-    norms = np.linalg.norm(vectors, axis=axis, keepdims=True)
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     flags = norms > 1.0
     scaled = np.where(flags, vectors / np.where(flags, norms, 1.0), vectors)
     return scaled, flags.reshape(-1)
@@ -76,7 +76,15 @@ class LoopResult:
     consistency_residual: float
 
 
-def loop_bootstrap(values, known_w, renormalize=True):
+def _leg(name, invert, s_block, known):
+    """One leg of the loop, its singular-block error prefixed by ``name``."""
+    try:
+        return invert(s_block, known)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"{name}: {exc}", where=exc.where) from exc
+
+
+def loop_bootstrap(values, known_w):
     """Run the tomography loop on a 6x6 expectation matrix.
 
     ``known_w`` holds the observable columns of settings 1-3.  The legs
@@ -94,33 +102,17 @@ def loop_bootstrap(values, known_w, renormalize=True):
         raise ShapeError(f"known observables must form a 3x3 block, got shape {known_w.shape}")
 
     a, b, c, d = values[:3, :3], values[:3, 3:], values[3:, :3], values[3:, 3:]
-    try:
-        p_first = qst_invert(a, known_w)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"state-tomography leg on the upper-left block: {exc}", where=exc.where) from exc
-    try:
-        w_rest = qdt_invert(b, p_first)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"detector-tomography leg on the upper-right block: {exc}", where=exc.where) from exc
-    try:
-        p_rest = qst_invert(d, w_rest)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"state-tomography leg on the lower-right block: {exc}", where=exc.where) from exc
+    p_first = _leg("state-tomography leg on the upper-left block", qst_invert, a, known_w)
+    w_rest = _leg("detector-tomography leg on the upper-right block", qdt_invert, b, p_first)
+    p_rest = _leg("state-tomography leg on the lower-right block", qst_invert, d, w_rest)
 
     residual = float(np.abs(c - p_rest @ known_w).max())
 
-    prep = np.vstack([p_first, p_rest])
-    obs = np.hstack([known_w, w_rest])
-    if renormalize:
-        prep, prep_flags = _clip_to_ball(prep, axis=1)
-        obs_t, obs_flags = _clip_to_ball(obs.T, axis=1)
-        obs = obs_t.T
-    else:
-        prep_flags = np.zeros(6, dtype=bool)
-        obs_flags = np.zeros(6, dtype=bool)
+    prep, prep_flags = _clip_to_ball(np.vstack([p_first, p_rest]))
+    obs_t, obs_flags = _clip_to_ball(np.hstack([known_w, w_rest]).T)
     return LoopResult(
         prep_stokes=prep,
-        obs_vectors=obs,
+        obs_vectors=obs_t.T,
         prep_renormalized=prep_flags,
         obs_renormalized=obs_flags,
         consistency_residual=residual,

@@ -6,6 +6,7 @@ marks the criterion FAIL.  Monte Carlo criteria use seeds 0..99.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,8 +286,8 @@ def test_criterion_10_determinism(tmp_path):
     for kind in sorted(paths_a):
         if kind == "timing":
             continue
-        bytes_a = open(paths_a[kind], "rb").read()
-        bytes_b = open(paths_b[kind], "rb").read()
+        bytes_a = Path(paths_a[kind]).read_bytes()
+        bytes_b = Path(paths_b[kind]).read_bytes()
         assert bytes_a == bytes_b, f"{kind} differs between identical runs"
         compared.append(kind)
     report(f"PASS criterion 10: byte-identical outputs for {compared}")

@@ -49,7 +49,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        payload = json.load(open(tmp_path / "out" / "report.json"))
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["seed"] == 7
         assert payload["scheme"] == "n+1"
         assert payload["threshold"] == 4.5
@@ -215,7 +215,7 @@ class TestCli:
         config = write_config(tmp_path, {"seed": 5, "scheme": "2n", "prep_angles": angles, "meas_angles": angles})
         code = main(["analyze", "--config", config, "--scheme", "n+1", "--out", str(tmp_path / "out")])
         assert code == 0
-        payload = json.load(open(tmp_path / "out" / "report.json"))
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["scheme"] == "n+1"
         assert len(payload["config"]["prep_angles"]) == 4
 
@@ -241,7 +241,7 @@ class TestParser:
         args = build_parser().parse_args([mode, "--seed", "4", "--out", str(tmp_path)])
         assert (args.mode, args.seed, args.out) == (mode, 4, str(tmp_path))
         assert main([mode, "--seed", "4", "--out", str(tmp_path)]) == 0
-        assert json.load(open(tmp_path / "report.json"))["config"]["mode"] == mode
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["mode"] == mode
         assert capsys.readouterr().out.endswith(f"report written to {tmp_path / 'report.json'}\n")
 
     def test_flags_before_mode(self, tmp_path):
@@ -260,7 +260,7 @@ class TestParser:
     def test_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
         assert main(["full", "--seed", "3", "--scheme", "n+1", "--out", str(tmp_path / "a")]) == 0
         assert main(["full", "--out", str(tmp_path / "b")]) == 0
-        first, second = (json.load(open(tmp_path / out / "report.json")) for out in ("a", "b"))
+        first, second = (json.loads((tmp_path / out / "report.json").read_text()) for out in ("a", "b"))
         assert (first["seed"], first["scheme"]) == (3, "n+1")
         assert (second["seed"], second["scheme"]) == (NoiseModel.seed, ExperimentPlan.scheme.value)
         capsys.readouterr()

@@ -163,6 +163,8 @@ class TestLoadConfig:
             ({"error_injections": [{"prep": 1, "setting": 1, "hwp_offset": "nan"}]}, "error_injections[0].hwp_offset"),
             ({"error_injections": [{"prep": 1, "setting": 1, "hwp_offset": "1" + "0" * 400 + "pi"}]},
              "error_injections[0].hwp_offset"),
+            # an index that parses but lies below 1
+            ({"error_injections": [{"prep": 0, "setting": 1, "hwp_offset": 0}]}, "error_injections"),
         ],
     )
     def test_rejects_unparseable_field(self, tmp_path, payload, field):

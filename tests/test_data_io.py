@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,7 +325,7 @@ class TestReports:
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        loaded = json.loads(open(path).read(), parse_constant=reject)
+        loaded = json.loads(Path(path).read_text(), parse_constant=reject)
         assert loaded["delta_stats"]["significance"][0][:2] == ["inf", 1.0]
         assert loaded["delta_stats"]["significance"][1][1] == "-inf"
         assert loaded["delta_stats"]["significance"][2][2] == "nan"
@@ -333,7 +334,7 @@ class TestReports:
         )
         grids = str(tmp_path / "grids.csv")
         emit_plot_data(loaded, grids)
-        assert "inf,1.0,0.0" in open(grids).read()
+        assert "inf,1.0,0.0" in Path(grids).read_text()
 
     def test_bytes_equal_streaming_encoder(self, tmp_path):
         payload = {
@@ -387,7 +388,7 @@ class TestReports:
             },
         }
         emit_plot_data(report, path)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert "grid=mean" in text and "grid=std" in text and "grid=significance" in text
         assert "scheme=2n" in text
 

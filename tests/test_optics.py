@@ -398,6 +398,26 @@ class TestValidation:
         with pytest.raises(ConfigError):
             NoiseModel(shots_per_setting=0)
 
+    @pytest.mark.parametrize("shots", [2.5, True, "100"])
+    def test_rejects_non_integer_shots(self, shots):
+        with pytest.raises(ConfigError) as excinfo:
+            NoiseModel(shots_per_setting=shots)
+        assert excinfo.value.field == "shots"
+
+    @pytest.mark.parametrize("name,value,field", [("scheme", "3n", "scheme"), ("source", "circ", "state")])
+    def test_rejects_unknown_scheme_or_state(self, name, value, field):
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentPlan(**{name: value})
+        assert excinfo.value.field == field
+        assert repr(value) in str(excinfo.value)
+
+    @pytest.mark.parametrize("prep,setting,offset", [(1.5, 1, 0.1), ("1", 1, 0.1), (1, True, 0.1), (0, 1, 0.1), (1, 1, "0.1")])
+    def test_rejects_malformed_injection(self, prep, setting, offset):
+        with pytest.raises(ConfigError) as excinfo:
+            ErrorInjection(prep, setting, offset)
+        assert excinfo.value.field == "error_injections"
+        assert "error_injections" in str(excinfo.value)
+
     def test_rejects_negative_jitter(self):
         with pytest.raises(ConfigError):
             NoiseModel(angle_jitter_sigma=-0.1)

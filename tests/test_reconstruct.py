@@ -113,23 +113,57 @@ class TestLoopBootstrap:
         with pytest.raises(SingularMatrixError, match="lower-right"):
             loop_bootstrap(s, cols_true[:, :3])
 
-    def test_gauge_covariance(self, rng):
-        # transforming the known observables transforms the recovered
-        # factors while leaving every reproduced expectation unchanged
+    @pytest.mark.parametrize(
+        "zeroed,leg,block",
+        [
+            ("known", "state-tomography leg on the upper-left block", "measurement block"),
+            ("upper-left", "detector-tomography leg on the upper-right block", "preparation block"),
+            ("upper-right", "state-tomography leg on the lower-right block", "measurement block"),
+        ],
+        ids=["upper-left", "upper-right", "lower-right"],
+    )
+    def test_singular_leg_error_text(self, zeroed, leg, block):
+        # zeroing one input makes exactly one leg's inverted block zero:
+        # the known observables, or the block whose output the next leg inverts
         plan = noiseless_plan()
         _, cols_true = truth(plan)
         s = true_expectation_matrix(plan)
+        known = cols_true[:, :3]
+        if zeroed == "known":
+            known = np.zeros((3, 3))
+        elif zeroed == "upper-left":
+            s[:3, :3] = 0.0
+        else:
+            s[:3, 3:] = 0.0
+        with pytest.raises(SingularMatrixError) as excinfo:
+            loop_bootstrap(s, known)
+        inner = f"near-singular {block}: |det| = 0.000e+00 at scale 0.000e+00"
+        assert str(excinfo.value) == f"{leg}: {inner}"
+        assert excinfo.value.where == block
+        assert isinstance(excinfo.value.__cause__, SingularMatrixError)
+        assert str(excinfo.value.__cause__) == inner
+
+    def test_gauge_covariance(self, rng):
+        # known observables g W give states P g^-1 and observables g W, so
+        # every reproduced expectation is unchanged.  Factors scaled by c
+        # keep both loops' vectors inside the unit ball, so none is rescaled.
+        rows_true, cols_true = truth(noiseless_plan())
         for _ in range(10):
             g = sample_invertible(rng)
-            known_gauged = g @ cols_true[:, :3]
-            base = loop_bootstrap(s, cols_true[:, :3], renormalize=False)
-            gauged = loop_bootstrap(s, known_gauged, renormalize=False)
+            c = 0.99 / max(np.linalg.norm(g, 2), np.linalg.norm(np.linalg.inv(g), 2))
+            rows, cols = c * rows_true, c * cols_true
+            base = loop_bootstrap(rows @ cols, cols[:, :3])
+            gauged = loop_bootstrap(rows @ cols, g @ cols[:, :3])
+            for result in (base, gauged):
+                assert not result.prep_renormalized.any()
+                assert not result.obs_renormalized.any()
             np.testing.assert_allclose(
                 gauged.prep_stokes @ gauged.obs_vectors,
                 base.prep_stokes @ base.obs_vectors,
                 atol=1e-9,
             )
-            np.testing.assert_allclose(gauged.obs_vectors[:, :3], g @ cols_true[:, :3], atol=1e-9)
+            np.testing.assert_allclose(gauged.obs_vectors, g @ base.obs_vectors, atol=1e-9)
+            np.testing.assert_allclose(gauged.prep_stokes, base.prep_stokes @ np.linalg.inv(g), atol=1e-9)
 
     def test_rescales_rows_outside_ball(self):
         # factors inside the ball, except preparation 5 at |s| = 1.2: the

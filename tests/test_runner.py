@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ class TestOutputs:
         paths = write_outputs(report)
         for kind in ("report", "measurements", "plot_grids", "timing"):
             assert os.path.exists(paths[kind]), kind
-        payload = json.load(open(paths["report"]))
+        payload = json.loads(Path(paths["report"]).read_text())
         assert payload["schema"] == "spamtomo-report v4"
         assert payload["exit_code"] == EXIT_CLEAN
         assert payload["detection"]["detected"] is False
@@ -114,7 +115,7 @@ class TestOutputs:
         paths_a = write_outputs(run(config), dir_a)
         paths_b = write_outputs(run(config), dir_b)
         for kind in ("report", "measurements", "plot_grids"):
-            assert open(paths_a[kind], "rb").read() == open(paths_b[kind], "rb").read(), kind
+            assert Path(paths_a[kind]).read_bytes() == Path(paths_b[kind]).read_bytes(), kind
 
     def test_saved_data_reanalysis_identical(self, tmp_path):
         config = null_config(output_dir=str(tmp_path / "first"))
@@ -132,7 +133,7 @@ class TestOutputs:
             errors=(ErrorInjection(2, 2, np.pi / 4),), output_dir=str(tmp_path)
         )
         paths = write_outputs(run(config))
-        lines = open(paths["plot_grids"]).read().splitlines()
+        lines = Path(paths["plot_grids"]).read_text().splitlines()
         start = lines.index("# grid=mean") + 1
         mean = np.array([[float(v) for v in lines[start + r].split(",")] for r in range(3)])
         assert np.unravel_index(np.abs(mean).argmax(), (3, 3)) == (1, 1)
@@ -152,11 +153,11 @@ class TestOutputs:
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        payload = json.loads(open(paths["report"]).read(), parse_constant=reject)
+        payload = json.loads(Path(paths["report"]).read_text(), parse_constant=reject)
         assert payload["schema"] == "spamtomo-report v4"
         assert "inf" in [v for row in payload["delta_stats"]["significance"] for v in row]
         emit_plot_data(payload, str(tmp_path / "again.csv"))
-        assert open(tmp_path / "again.csv").read() == open(paths["plot_grids"]).read()
+        assert (tmp_path / "again.csv").read_text() == Path(paths["plot_grids"]).read_text()
 
     def test_detected_run_report_carries_candidates(self, tmp_path):
         config = null_config(
@@ -164,7 +165,7 @@ class TestOutputs:
         )
         report = run(config)
         paths = write_outputs(report)
-        payload = json.load(open(paths["report"]))
+        payload = json.loads(Path(paths["report"]).read_text())
         assert payload["exit_code"] == EXIT_DETECTED
         assert payload["detection"]["detected"] is True
         assert [1, 1] in payload["detection"]["candidate_locations"]
