@@ -16,7 +16,6 @@ from spamtomo import (
     Scheme,
     default_settings,
     delta_statistics,
-    embed_n_plus_1,
     run_experiment,
     true_expectation_matrix,
 )
@@ -42,8 +41,7 @@ for offset in (np.pi / 4, np.pi / 8, np.pi / 20, np.pi / 40):
             errors=(injection,),
             noise=NoiseModel(seed=seed),
         )
-        stack = embed_n_plus_1(run_experiment(plan))
-        sigs.append(delta_statistics(stack).significance.max())
+        sigs.append(delta_statistics(run_experiment(plan)).significance.max())
     print(f"{offset/np.pi:>9.4f}p {truth:>12.4f} {np.median(sigs):>35.2f}")
 
 print("\n(detection threshold is 3 sigma)")

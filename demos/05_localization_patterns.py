@@ -14,7 +14,6 @@ from spamtomo import (
     NoiseModel,
     Scheme,
     default_settings,
-    embed_n_plus_1,
     localize,
     delta_statistics,
     detect,
@@ -41,8 +40,6 @@ def analytic_patterns(scheme, locations):
         )
         for a, i in locations
     ])
-    if scheme is Scheme.N_PLUS_ONE:
-        matrices = embed_n_plus_1(matrices)
     return partial_determinant(matrices) - np.eye(3)
 
 
@@ -56,7 +53,7 @@ for scheme in (Scheme.TWO_N, Scheme.N_PLUS_ONE):
 print("-- noisy run with the (2,2) error, six settings: localization --")
 plan = ExperimentPlan(errors=(ErrorInjection(2, 2, np.pi / 4),), noise=NoiseModel(seed=5))
 stats = delta_statistics(run_experiment(plan))
-outcome = localize(detect(stats, 3.0, Scheme.TWO_N))
+outcome = localize(detect(stats, 3.0))
 print("flagged elements:", [(r, c) for r, c, _ in outcome.flagged_elements])
 print("candidate (preparation, setting) pairs:", outcome.candidate_locations)
 print("note:", outcome.note)

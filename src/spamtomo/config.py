@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from ._linalg import guarded_inv3
+from .errors import ConfigError, SingularMatrixError
 from .optics import (
     DEFAULT_ANGLE_JITTER,
     DEFAULT_REPETITIONS,
@@ -50,6 +51,9 @@ from .optics import (
     NoiseModel,
     WavePlateSetting,
     _is_finite_real,
+    default_settings,
+    theoretical_observables,
+    theoretical_states,
 )
 
 MODES = ("simulate", "analyze", "reconstruct", "full")
@@ -102,6 +106,25 @@ def _parse_povms(raw):
     return tuple(tuple(float(v) for v in row) for row in povms)
 
 
+def _check_span(plan):
+    """Reject settings whose nominal vectors cannot fill a corner of the
+    partial determinant: the states of each of the scheme's two
+    preparation triples, and the observables of each setting triple, must
+    be linearly independent, or no data measured with them can be tested
+    or reconstructed.  Raises a :class:`ConfigError` naming the angle
+    list."""
+    triples = np.array([plan.scheme.embed_index[:3], plan.scheme.embed_index[3:]])
+    for key, kind, vectors in (
+        ("prep_angles", "states of preparations", theoretical_states(plan)),
+        ("meas_angles", "observables of settings", theoretical_observables(plan).T),
+    ):
+        names = [f"{kind} {', '.join(str(k + 1) for k in triple)}" for triple in triples]
+        try:
+            guarded_inv3(vectors[triples], where=names)
+        except SingularMatrixError as exc:
+            raise ConfigError(f"{key} must give linearly independent nominal vectors: {exc}", field=key) from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A fully validated run: the experiment plan it simulates, or whose
@@ -126,9 +149,13 @@ class RunConfig:
             raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}", field="output_dir")
         if self.known_povms is not None:
             object.__setattr__(self, "known_povms", _parse_povms(self.known_povms))
-        repetitions = self.experiment.repetitions
-        if self.mode != "simulate" and self.input_data_path is None and repetitions < 2:
-            raise ConfigError(f"repetitions must be >= 2 for statistics on simulated data, got {repetitions}", field="repetitions")
+        plan = self.experiment
+        if self.mode != "simulate" and self.input_data_path is None and plan.repetitions < 2:
+            raise ConfigError(f"repetitions must be >= 2 for statistics on simulated data, got {plan.repetitions}", field="repetitions")
+        # the default settings span (a test asserts it), so a run on them
+        # skips the check
+        if self.mode != "simulate" and not (plan.prep_settings == plan.meas_settings == default_settings(plan.scheme)):
+            _check_span(plan)
 
     def plan(self):
         return self.experiment

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import DataFormatError, SpamTomoError
+from .errors import DataFormatError, ShapeError, SpamTomoError
 from .optics import Scheme
 
 MEASUREMENTS_SCHEMA = "spamtomo-measurements v1"
@@ -37,9 +37,13 @@ PLOTGRID_SCHEMA = "spamtomo-plotgrid v1"
 
 def save_measurements(path, stack, scheme):
     """Write a ``(repetitions, n, n)`` stack of expectation matrices as CSV
-    blocks, one per repetition."""
+    blocks, one per repetition; ``n`` must be the scheme's number of
+    settings, so that :func:`load_measurements` reads the file back."""
     scheme = Scheme(scheme)
     stack = np.asarray(stack, dtype=float)
+    n = scheme.n_settings
+    if stack.ndim != 3 or stack.shape[1:] != (n, n):
+        raise ShapeError(f"a scheme {scheme.value} record holds (repetitions, {n}, {n}) stacks, got shape {stack.shape}")
     lines = [f"# {MEASUREMENTS_SCHEMA} scheme={scheme.value} blocks={len(stack)}"]
     for matrix in stack:
         lines.extend(",".join(map(repr, row)) for row in matrix.tolist())

@@ -13,10 +13,12 @@ of the deviation over repeated measurements turn this into a significance
 test, and the deviation pattern localizes which preparation/setting pair
 carries the error.
 
-Compact 4x4 matrices from the four-setting scheme are first embedded into
-6x6 form by duplicating rows and columns 2 and 3 (see
-:attr:`Scheme.embed_index`).  Embedding, the partial determinant and its
-statistics all work on a whole ``(repetitions, 6, 6)`` stack at once.
+A matrix says its own scheme by its size: 6x6 is the six-setting scheme
+and 4x4 the compact four-setting one, which the partial determinant
+embeds into 6x6 form by duplicating rows and columns 2 and 3 (see
+:attr:`Scheme.embed_index`), so callers pass either as measured.
+Embedding, the partial determinant and its statistics all work on a
+whole ``(repetitions, n, n)`` stack at once.
 """
 
 from dataclasses import dataclass, replace
@@ -68,7 +70,9 @@ def embed_n_plus_1(compact):
 
 def partial_determinant(values):
     """Partial determinant ``A^-1 B D^-1 C`` of a 6x6 expectation matrix,
-    or of every matrix in a ``(..., 6, 6)`` stack.
+    or of every matrix in a ``(..., 6, 6)`` stack.  Compact 4x4 matrices
+    (a ``(..., 4, 4)`` stack) are embedded with :func:`embed_n_plus_1`
+    first.
 
     Raises :class:`SingularMatrixError` naming the corner when the
     upper-left or lower-right block cannot be inverted reliably; that
@@ -77,8 +81,10 @@ def partial_determinant(values):
     (1-based), and within it the upper-left corner before the lower-right.
     """
     values = np.asarray(values, dtype=float)
+    if values.shape[-2:] == (4, 4):
+        values = embed_n_plus_1(values)
     if values.shape[-2:] != (6, 6):
-        raise ShapeError(f"partial determinant expects 6x6 matrices, got shape {values.shape}")
+        raise ShapeError(f"partial determinant expects 6x6 or 4x4 matrices, got shape {values.shape}")
     corners = np.stack([values[..., :3, :3], values[..., 3:, 3:]], axis=-3)
     inverses = guarded_inv3(corners, where=_CORNERS)
     return inverses[..., 0, :, :] @ values[..., :3, 3:] @ inverses[..., 1, :, :] @ values[..., 3:, :3]
@@ -89,16 +95,19 @@ class DeltaStats:
     """Element-wise statistics of the partial-determinant deviation over
     repetitions: mean and sample standard deviation of ``Delta - 1``, and
     the significance ``|mean| / std`` (``inf`` when std is zero but the
-    mean is not; 0 when both vanish)."""
+    mean is not; 0 when both vanish), and the scheme the matrices were
+    measured in."""
 
     mean: np.ndarray
     std: np.ndarray
     significance: np.ndarray
     repetitions: int
+    scheme: Scheme
 
 
 def delta_statistics(samples):
-    """Statistics of ``Delta - 1`` over a stack (or list) of 6x6 matrices.
+    """Statistics of ``Delta - 1`` over a stack (or list) of 6x6 matrices,
+    or of compact 4x4 ones; the matrix size sets the statistics' scheme.
 
     Uses the unbiased (N-1) standard deviation.  When the spread of an
     element is exactly zero its significance is the infinity sentinel if
@@ -108,7 +117,7 @@ def delta_statistics(samples):
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3:
-        raise ShapeError(f"statistics need a stack of 6x6 matrices, got shape {samples.shape}")
+        raise ShapeError(f"statistics need a stack of 6x6 or 4x4 matrices, got shape {samples.shape}")
     if len(samples) < 2:
         raise ShapeError(f"need at least 2 repetitions for statistics, got {len(samples)}")
     stack = partial_determinant(samples) - np.eye(3)
@@ -123,7 +132,8 @@ def delta_statistics(samples):
             np.where(np.abs(mean) > 1e-12, np.inf, 0.0),
             np.abs(mean) / np.where(zero_std, 1.0, std),
         )
-    return DeltaStats(mean=mean, std=std, significance=significance, repetitions=len(samples))
+    scheme = Scheme.N_PLUS_ONE if samples.shape[-1] == 4 else Scheme.TWO_N
+    return DeltaStats(mean=mean, std=std, significance=significance, repetitions=len(samples), scheme=scheme)
 
 
 @dataclass(frozen=True)
@@ -140,14 +150,15 @@ class DetectionReport:
     detected: bool
     threshold: float
     flagged_elements: tuple
+    scheme: Scheme
     candidate_locations: tuple = ()
-    scheme: Scheme = Scheme.TWO_N
     note: str = ""
 
 
-def detect(stats, threshold=3.0, scheme=Scheme.TWO_N):
+def detect(stats, threshold=3.0):
     """Flag every element whose significance exceeds ``threshold`` (in
-    units of the repetition standard deviation)."""
+    units of the repetition standard deviation).  The report carries the
+    scheme of ``stats``, which :func:`localize` reads."""
     if not (np.isfinite(threshold) and threshold > 0):
         raise ShapeError(f"threshold must be finite and positive, got {threshold}")
     flagged = [
@@ -161,7 +172,7 @@ def detect(stats, threshold=3.0, scheme=Scheme.TWO_N):
         detected=bool(flagged),
         threshold=float(threshold),
         flagged_elements=tuple(flagged),
-        scheme=Scheme(scheme),
+        scheme=stats.scheme,
     )
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import guarded_inv3
+from .detect import embed_n_plus_1
 from .errors import ShapeError, SingularMatrixError
 from .qubit import fidelity, povm_element_fidelity, relative_error
 
@@ -85,7 +86,8 @@ def _leg(name, invert, s_block, known):
 
 
 def loop_bootstrap(values, known_w):
-    """Run the tomography loop on a 6x6 expectation matrix.
+    """Run the tomography loop on a 6x6 expectation matrix, or on a
+    compact 4x4 one embedded with :func:`embed_n_plus_1` first.
 
     ``known_w`` holds the observable columns of settings 1-3.  The legs
     run in order: states 1-3 from the upper-left block, observables 4-6
@@ -95,8 +97,10 @@ def loop_bootstrap(values, known_w):
     Rescaling onto the unit sphere happens only after all legs.
     """
     values = np.asarray(values, dtype=float)
+    if values.shape == (4, 4):
+        values = embed_n_plus_1(values)
     if values.shape != (6, 6):
-        raise ShapeError(f"loop expects a 6x6 matrix, got shape {values.shape}")
+        raise ShapeError(f"loop expects a 6x6 or 4x4 matrix, got shape {values.shape}")
     known_w = np.asarray(known_w, dtype=float)
     if known_w.shape != (3, 3):
         raise ShapeError(f"known observables must form a 3x3 block, got shape {known_w.shape}")
@@ -130,7 +134,7 @@ class ReconstructionScore:
     renormalized_flags: tuple
 
 
-def score_reconstruction(rec_states, true_states, rec_povms, true_povms, renormalized_flags=None):
+def score_reconstruction(rec_states, true_states, rec_povms, true_povms, renormalized_flags):
     """Score reconstructed vectors against their references.
 
     All four inputs are ``(k, 3)`` arrays: Stokes vectors of states and
@@ -138,18 +142,15 @@ def score_reconstruction(rec_states, true_states, rec_povms, true_povms, renorma
     by fidelity; POVM elements both by fidelity (after trace
     normalization) and by Frobenius relative error on the raw elements.
     Scores follow the row order, so permuting the inputs permutes the
-    scores identically.
+    scores identically.  ``renormalized_flags`` holds one rescaling flag
+    per fidelity, states first, and is carried through as booleans.
     """
     if any(np.ndim(v) != 2 for v in (rec_states, true_states, rec_povms, true_povms)):
         raise ShapeError("scores need (k, 3) arrays of vectors, one per row")
     fids = np.concatenate([fidelity(rec_states, true_states), povm_element_fidelity(rec_povms, true_povms)])
     errors = relative_error(rec_povms, true_povms)
-    if renormalized_flags is None:
-        flags = (False,) * len(fids)
-    else:
-        flags = tuple(bool(f) for f in renormalized_flags)
     return ReconstructionScore(
         fidelities=tuple(fids.tolist()),
         relative_errors=tuple(errors.tolist()),
-        renormalized_flags=flags,
+        renormalized_flags=tuple(bool(f) for f in renormalized_flags),
     )

@@ -27,13 +27,13 @@ from .data_io import (
 from .detect import (
     delta_statistics,
     detect,
-    embed_n_plus_1,
     localize,
     validate_expectation_matrix,
 )
 from .errors import ConfigError
-from .optics import Scheme, run_experiment, theoretical_observables, theoretical_states
-# Not called here; perfbench/layertrace.py still traces these two names.
+from .optics import run_experiment, theoretical_observables, theoretical_states
+# Not called here; perfbench/layertrace.py still traces these three names.
+from .detect import embed_n_plus_1  # noqa: F401
 from .qubit import density_from_stokes, povm_from_observable  # noqa: F401
 from .reconstruct import loop_bootstrap, score_reconstruction
 
@@ -142,9 +142,9 @@ def _known_observables(config, true_obs):
     return true_obs[:, :3]
 
 
-def _reconstruct_and_score(config, plan, embedded):
+def _reconstruct_and_score(config, plan, samples):
     true_obs = theoretical_observables(plan)
-    loop = loop_bootstrap(np.mean(embedded, axis=0), _known_observables(config, true_obs))
+    loop = loop_bootstrap(np.mean(samples, axis=0), _known_observables(config, true_obs))
     index = plan.scheme.embed_index
     rows, cols = _scored_operators(plan.scheme)
     scores = score_reconstruction(
@@ -174,17 +174,14 @@ def run(config):
     report = RunReport(config=config, samples=samples)
 
     if config.mode != "simulate":
-        embedded = samples
-        if plan.scheme is Scheme.N_PLUS_ONE:
-            embedded = embed_n_plus_1(embedded)
-        stats = delta_statistics(embedded)
-        detection = localize(detect(stats, config.detection_threshold, plan.scheme))
+        stats = delta_statistics(samples)
+        detection = localize(detect(stats, config.detection_threshold))
         report.stats = stats
         report.detection = detection
         report.exit_code = EXIT_DETECTED if detection.detected else EXIT_CLEAN
 
         if config.mode in ("reconstruct", "full") and not detection.detected:
-            report.reconstruction, report.scores = _reconstruct_and_score(config, plan, embedded)
+            report.reconstruction, report.scores = _reconstruct_and_score(config, plan, samples)
 
     report.wall_clock_seconds = time.monotonic() - start
     return report

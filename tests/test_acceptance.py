@@ -23,7 +23,6 @@ from spamtomo import (
     default_settings,
     delta_statistics,
     detect,
-    embed_n_plus_1,
     localize,
     loop_bootstrap,
     partial_determinant,
@@ -60,16 +59,16 @@ def make_plan(scheme=Scheme.TWO_N, source=SourceKind.PURE_H, errors=(), seed=0,
     )
 
 
-def embedded_samples(plan, perturb=None):
+def measured_samples(plan, perturb=None):
     samples = np.array(run_experiment(plan))
     if perturb is not None:
         for (r, c), value in perturb.items():
             samples[:, r - 1, c - 1] = value
-    return embed_n_plus_1(samples) if plan.scheme is Scheme.N_PLUS_ONE else samples
+    return samples
 
 
 def max_significance(plan, perturb=None):
-    return delta_statistics(embedded_samples(plan, perturb)).significance.max()
+    return delta_statistics(measured_samples(plan, perturb)).significance.max()
 
 
 def test_criterion_01_consistency_theorem():
@@ -141,7 +140,7 @@ def test_criterion_04_medium_error_significance():
         noisy = make_plan(Scheme.N_PLUS_ONE, errors=errors, seed=seed)
         samples = run_experiment(noisy)
         injected_values.extend(m[0, 0] for m in samples)
-        stats = delta_statistics(embed_n_plus_1(samples))
+        stats = delta_statistics(samples)
         significances.append(stats.significance.max())
     spread = float(np.std(injected_values))
     median = float(np.median(significances))
@@ -173,15 +172,13 @@ def _analytic_support(scheme, errors=(), perturb=None):
     if perturb is not None:
         for (r, c), value in perturb.items():
             matrix[r - 1, c - 1] = value
-    if matrix.shape == (4, 4):
-        matrix = embed_n_plus_1(matrix)
     deviation = partial_determinant(matrix) - np.eye(3)
     return {(r + 1, c + 1) for r in range(3) for c in range(3) if abs(deviation[r, c]) > 1e-6}
 
 
 def _flagged_set(plan, perturb=None):
-    stats = delta_statistics(embedded_samples(plan, perturb))
-    return {(r, c) for r, c, _ in detect(stats, 3.0, plan.scheme).flagged_elements}
+    stats = delta_statistics(measured_samples(plan, perturb))
+    return {(r, c) for r, c, _ in detect(stats, 3.0).flagged_elements}
 
 
 def test_criterion_06_localization_patterns():
@@ -271,7 +268,7 @@ def test_criterion_09_multi_error_candidates():
     for seed in SEEDS:
         plan = make_plan(Scheme.TWO_N, errors=errors, seed=seed, jitter=0.0)
         stats = delta_statistics(run_experiment(plan))
-        located = localize(detect(stats, 3.0, Scheme.TWO_N))
+        located = localize(detect(stats, 3.0))
         if (1, 1) in located.candidate_locations and (2, 2) in located.candidate_locations:
             hits += 1
     assert hits >= 90, f"both locations reported in only {hits}/100 seeds"

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from spamtomo import (
+    DEFAULT_HWP_ANGLES,
+    DEFAULT_QWP_ANGLES,
     ConfigError,
     ExperimentPlan,
     NoiseModel,
     RunConfig,
     Scheme,
     SourceKind,
+    config_from_dict,
     load_config,
     parse_angle,
 )
+from spamtomo.config import _check_span
 
 
 def write_config(tmp_path, payload):
@@ -203,6 +207,26 @@ class TestRunConfig:
         assert plan.scheme is Scheme.N_PLUS_ONE
         assert plan.noise.seed == 9
         assert len(plan.prep_settings) == 4
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_default_settings_span(self, scheme):
+        # a run on the defaults skips the check, so they must pass it
+        _check_span(ExperimentPlan(scheme=scheme))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("key", ["prep_angles", "meas_angles"])
+    def test_settings_that_cannot_span_rejected_before_analysis(self, tmp_path, scheme, key):
+        n = scheme.n_settings
+        raw = {"scheme": scheme.value, key: [[0, 0]] * n}
+        for extra in ({"mode": "analyze"}, {"mode": "reconstruct"}, {"mode": "full"},
+                      {"mode": "analyze", "input_data": str(tmp_path / "m.csv")}):
+            with pytest.raises(ConfigError, match="linearly independent") as excinfo:
+                config_from_dict({**raw, **extra})
+            assert excinfo.value.field == key
+        assert config_from_dict({**raw, "mode": "simulate"}).mode == "simulate"
+        # other settings that span still run
+        reordered = [list(pair) for pair in zip(DEFAULT_QWP_ANGLES[:n], DEFAULT_HWP_ANGLES[:n])][::-1]
+        assert config_from_dict({**raw, key: reordered, "mode": "analyze"}).mode == "analyze"
 
     def test_echo_is_json_serializable(self):
         config = RunConfig()

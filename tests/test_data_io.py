@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -150,6 +151,16 @@ class TestMeasurementsRoundTrip:
 
 
 class TestMeasurementErrors:
+    @pytest.mark.parametrize(
+        "scheme,shape", [(Scheme.N_PLUS_ONE, (2, 6, 6)), (Scheme.TWO_N, (2, 5, 5)), (Scheme.TWO_N, (6, 6))]
+    )
+    def test_save_rejects_stack_of_another_scheme(self, tmp_path, scheme, shape):
+        # a file load_measurements would refuse is never written
+        path = tmp_path / "m.csv"
+        with pytest.raises(ShapeError, match=rf"scheme {re.escape(scheme.value)} record"):
+            save_measurements(str(path), np.zeros(shape), scheme)
+        assert not path.exists()
+
     def write(self, tmp_path, text):
         path = tmp_path / "m.csv"
         path.write_text(text)

@@ -3,6 +3,7 @@ import pytest
 
 from spamtomo import (
     DeltaStats,
+    ErrorInjection,
     ExperimentPlan,
     NoiseModel,
     Scheme,
@@ -147,8 +148,10 @@ class TestPartialDeterminant:
         np.testing.assert_array_equal(partial_determinant(stack.reshape(5, 10, 6, 6)), delta.reshape(5, 10, 3, 3))
 
     def test_rejects_wrong_shape(self):
+        # a compact 4x4 matrix is embedded; every other shape is refused
+        partial_determinant(paper_angle_matrix(Scheme.N_PLUS_ONE))
         with pytest.raises(ShapeError):
-            partial_determinant(np.ones((4, 4)))
+            partial_determinant(np.ones((5, 5)))
         with pytest.raises(ShapeError):
             partial_determinant(np.ones((3, 6, 4)))
 
@@ -236,11 +239,16 @@ class TestDeltaStatistics:
         stats = delta_statistics(run_experiment(plan))
         assert stats.significance.max() < 3.0
 
+    def test_scheme_from_matrix_size(self):
+        for scheme in Scheme:
+            stats = delta_statistics(run_experiment(ExperimentPlan(scheme=scheme, noise=NoiseModel(seed=3))))
+            assert stats.scheme is scheme
 
-def make_stats(significance):
+
+def make_stats(significance, scheme=Scheme.TWO_N):
     significance = np.asarray(significance, dtype=float)
     return DeltaStats(
-        mean=significance.copy(), std=np.ones((3, 3)), significance=significance, repetitions=10
+        mean=significance.copy(), std=np.ones((3, 3)), significance=significance, repetitions=10, scheme=scheme
     )
 
 
@@ -282,7 +290,7 @@ class TestLocalize:
     def test_two_n_first_row_and_column(self):
         sig = np.zeros((3, 3))
         sig[0, 0] = 20.0
-        report = localize(detect(make_stats(sig), 3.0, Scheme.TWO_N))
+        report = localize(detect(make_stats(sig), 3.0))
         assert (1, 1) in report.candidate_locations
         assert (1, 4) in report.candidate_locations
         assert (4, 4) in report.candidate_locations
@@ -290,7 +298,7 @@ class TestLocalize:
     def test_two_n_second_row_and_column(self):
         sig = np.zeros((3, 3))
         sig[1, 1] = 9.0
-        report = localize(detect(make_stats(sig), 3.0, Scheme.TWO_N))
+        report = localize(detect(make_stats(sig), 3.0))
         assert (2, 2) in report.candidate_locations
         assert (2, 5) in report.candidate_locations
 
@@ -298,7 +306,7 @@ class TestLocalize:
         sig = np.zeros((3, 3))
         sig[0, 0] = 15.0
         sig[0, 1] = 0.0
-        report = localize(detect(make_stats(sig), 3.0, Scheme.N_PLUS_ONE))
+        report = localize(detect(make_stats(sig, Scheme.N_PLUS_ONE), 3.0))
         assert report.detected
         assert report.candidate_locations == ()
         assert "indeterminate" in report.note
@@ -307,9 +315,21 @@ class TestLocalize:
         sig = np.zeros((3, 3))
         sig[0, 0] = 15.0
         sig[1, 2] = 6.0
-        report = localize(detect(make_stats(sig), 3.0, Scheme.N_PLUS_ONE))
+        report = localize(detect(make_stats(sig, Scheme.N_PLUS_ONE), 3.0))
         assert (2, 3) in report.candidate_locations
 
+    def test_n_plus_one_run_location_indeterminate(self):
+        # a quarter-turn error at (2, 2) with four settings aliases onto
+        # row 1/column 1: it is detected, but no location can be named
+        plan = ExperimentPlan(
+            scheme=Scheme.N_PLUS_ONE, errors=(ErrorInjection(2, 2, np.pi / 4),), noise=NoiseModel(seed=0)
+        )
+        report = localize(detect(delta_statistics(run_experiment(plan))))
+        assert report.detected
+        assert report.scheme is Scheme.N_PLUS_ONE
+        assert report.candidate_locations == ()
+        assert "location indeterminate" in report.note
+
     def test_no_flags_nothing_to_localize(self):
-        report = localize(detect(make_stats(np.zeros((3, 3))), 3.0, Scheme.TWO_N))
+        report = localize(detect(make_stats(np.zeros((3, 3))), 3.0))
         assert report.candidate_locations == ()

@@ -20,18 +20,22 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from spamtomo import (  # noqa: E402
     ConfigError,
     DataFormatError,
+    ErrorInjection,
     ExperimentPlan,
     NoiseModel,
     RunConfig,
     Scheme,
+    SingularMatrixError,
     SourceKind,
     WavePlateSetting,
     config_from_dict,
     default_settings,
     delta_statistics,
     detect,
+    embed_n_plus_1,
     fidelity,
     load_measurements,
+    loop_bootstrap,
     partial_determinant,
     relative_error,
     run_experiment,
@@ -522,6 +526,46 @@ def test_samples_are_correctly_rounded_count_fractions(seed, scheme, source, sho
         assert s == (2.0 * k - shots) / shots
         if shots == 10_000:
             assert re.fullmatch(r"-?[01]\.\d{1,4}", repr(s)), repr(s)
+
+
+def _arrays_or_error(f, *args):
+    """The arrays of ``f(*args)`` in field order, or its singular-block
+    message."""
+    try:
+        result = f(*args)
+    except SingularMatrixError as exc:
+        return str(exc)
+    return [np.asarray(v).tobytes() for v in vars(result).values() if isinstance(v, np.ndarray | float)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    source=st.sampled_from(list(SourceKind)),
+    jitter=st.sampled_from([0.0, optics.DEFAULT_ANGLE_JITTER, 0.05]),
+    injections=st.lists(
+        st.builds(ErrorInjection, st.integers(1, 4), st.integers(1, 4), st.sampled_from([np.pi / 4, np.pi / 20])),
+        max_size=2,
+    ),
+    reps=st.sampled_from([2, 10, 37, 300]),
+)
+def test_compact_record_analyses_as_its_embedding(seed, source, jitter, injections, reps):
+    # the statistics and the loop embed a 4x4 record themselves, bit for
+    # bit as if the caller had embedded it
+    plan = ExperimentPlan(
+        source=source,
+        scheme=Scheme.N_PLUS_ONE,
+        errors=tuple(injections),
+        noise=NoiseModel(angle_jitter_sigma=jitter, seed=seed),
+        repetitions=reps,
+    )
+    compact = run_experiment(plan)
+    embedded = embed_n_plus_1(compact)
+    assert _arrays_or_error(delta_statistics, compact) == _arrays_or_error(delta_statistics, embedded)
+    known = theoretical_observables(plan)[:, :3]
+    assert _arrays_or_error(loop_bootstrap, compact.mean(axis=0), known) == _arrays_or_error(
+        loop_bootstrap, embedded.mean(axis=0), known
+    )
 
 
 # -0.0, the smallest subnormal, the switches to and from exponent notation

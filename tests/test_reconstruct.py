@@ -4,6 +4,7 @@ import pytest
 from spamtomo import (
     ExperimentPlan,
     NoiseModel,
+    Scheme,
     ShapeError,
     SingularMatrixError,
     loop_bootstrap,
@@ -180,8 +181,12 @@ class TestLoopBootstrap:
         np.testing.assert_allclose(result.obs_vectors, cols, atol=1e-9)
 
     def test_shape_checks(self):
+        # a compact 4x4 matrix is embedded; every other shape is refused
+        plan = ExperimentPlan(scheme=Scheme.N_PLUS_ONE, noise=noiseless_plan().noise)
+        result = loop_bootstrap(true_expectation_matrix(plan), theoretical_observables(plan)[:, :3])
+        assert result.consistency_residual < 1e-9
         with pytest.raises(ShapeError):
-            loop_bootstrap(np.zeros((4, 4)), np.eye(3))
+            loop_bootstrap(np.zeros((5, 5)), np.eye(3))
         with pytest.raises(ShapeError):
             loop_bootstrap(np.zeros((6, 6)), np.eye(2))
 
@@ -190,7 +195,7 @@ class TestScore:
     def test_perfect_reconstruction(self):
         states = sample_stokes_ball(np.random.default_rng(3), 4)
         povms = sample_stokes_ball(np.random.default_rng(4), 3)
-        score = score_reconstruction(states, states, povms, povms)
+        score = score_reconstruction(states, states, povms, povms, np.zeros(7, bool))
         assert all(f == pytest.approx(1.0, abs=1e-12) for f in score.fidelities)
         assert all(e == pytest.approx(0.0, abs=1e-12) for e in score.relative_errors)
         assert score.renormalized_flags == (False,) * 7
@@ -198,7 +203,7 @@ class TestScore:
     def test_matches_matrix_oracle(self, rng):
         rec_states, ref_states = sample_stokes_ball(rng, 4), sample_stokes_ball(rng, 4)
         rec_povms, ref_povms = sample_stokes_ball(rng, 3), sample_stokes_ball(rng, 3)
-        score = score_reconstruction(rec_states, ref_states, rec_povms, ref_povms)
+        score = score_reconstruction(rec_states, ref_states, rec_povms, ref_povms, np.zeros(7, bool))
         expected = [matrix_fidelity(density_from_stokes(a), density_from_stokes(b))
                     for a, b in zip(rec_states, ref_states)]
         elements = [(povm_from_observable(a).e, povm_from_observable(b).e) for a, b in zip(rec_povms, ref_povms)]
@@ -211,17 +216,18 @@ class TestScore:
         states = sample_stokes_ball(rng, 3)
         refs = sample_stokes_ball(rng, 3)
         none = np.empty((0, 3))
-        forward = score_reconstruction(states, refs, none, none)
-        backward = score_reconstruction(states[::-1], refs[::-1], none, none)
+        forward = score_reconstruction(states, refs, none, none, np.zeros(3, bool))
+        backward = score_reconstruction(states[::-1], refs[::-1], none, none, np.zeros(3, bool))
         assert forward.fidelities == backward.fidelities[::-1]
 
     def test_length_mismatch(self):
+        flags = np.zeros(3, bool)
         with pytest.raises(ShapeError):
-            score_reconstruction(np.zeros((1, 3)), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)))
+            score_reconstruction(np.zeros((1, 3)), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)), flags[:1])
         with pytest.raises(ShapeError):
-            score_reconstruction(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
+            score_reconstruction(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((2, 3)), np.zeros((1, 3)), flags)
         with pytest.raises(ShapeError):
-            score_reconstruction(np.zeros(3), np.zeros(3), np.empty((0, 3)), np.empty((0, 3)))
+            score_reconstruction(np.zeros(3), np.zeros(3), np.empty((0, 3)), np.empty((0, 3)), flags[:1])
 
     def test_flags_carried_through(self):
         s = np.zeros((1, 3))
