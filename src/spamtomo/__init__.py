@@ -49,8 +49,6 @@ from .reconstruct import (
     LoopResult,
     ReconstructionScore,
     loop_bootstrap,
-    qdt_invert,
-    qst_invert,
     score_reconstruction,
 )
 from .runner import EXIT_CLEAN, EXIT_DETECTED, EXIT_ERROR, RunReport, run, write_outputs

@@ -9,8 +9,9 @@ The first argument is the run mode:
 
 Flags override the corresponding configuration keys.  The exit status is
 0 when no correlated error was found, 2 when one was detected, and 1 on
-failure.  The argument parser is built once per process, when the module
-is imported, and every :func:`main` call parses with it.
+failure, usage errors included.  The argument parser is built once per
+process, when the module is imported, and every :func:`main` call
+parses with it.
 """
 
 import argparse
@@ -29,10 +30,18 @@ MODES = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: argparse's 2 would read as a detection."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
     """One parser for every mode: the mode is a positional argument and
     all modes share the same flags."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spamtomo",
         description="Loop SPAM tomography: simulate, detect correlated errors, reconstruct.\n\nmodes:\n"
         + "\n".join(f"  {mode:<12} {help_text}" for mode, help_text in MODES),

@@ -14,11 +14,12 @@ test, and the deviation pattern localizes which preparation/setting pair
 carries the error.
 
 A matrix says its own scheme by its size: 6x6 is the six-setting scheme
-and 4x4 the compact four-setting one, which the partial determinant
-embeds into 6x6 form by duplicating rows and columns 2 and 3 (see
-:attr:`Scheme.embed_index`), so callers pass either as measured.
-Embedding, the partial determinant and its statistics all work on a
-whole ``(repetitions, n, n)`` stack at once.
+and 4x4 the compact four-setting one, so callers pass either as
+measured.  The corners are gathered by the scheme's row and column
+triples (see :attr:`Scheme.embed_index`): the 3x3 quadrants for six
+settings, and for four a second triple that reuses preparations and
+settings 2 and 3.  The corner gather, the partial determinant and its
+statistics all work on a whole ``(repetitions, n, n)`` stack at once.
 """
 
 from dataclasses import dataclass, replace
@@ -39,8 +40,7 @@ def validate_expectation_matrix(values):
     range test.  In a stack the error names the sample (``sample k:``,
     1-based)."""
     values = np.asarray(values, dtype=float)
-    if values.shape[-2:] not in ((6, 6), (4, 4)):
-        raise ShapeError(f"expectation matrix must be 6x6 or 4x4, got shape {values.shape}")
+    Scheme.of_shape(values.shape)
     bad = ~(np.abs(values) <= 1.0 + ATOL_INPUT)
     if bad.any():
         index = tuple(np.argwhere(bad)[0])
@@ -58,6 +58,10 @@ def embed_n_plus_1(compact):
 
     Rows 5 and 6 duplicate rows 2 and 3, and likewise for columns, so for
     example entry (5, 6) of the result equals entry (2, 3) of the input.
+    The result analyses as a 2n record, with 2n localization, so pass
+    compact records to :func:`delta_statistics` and ``loop_bootstrap`` as
+    measured.  Nothing in the package calls this; it stays as an export
+    and a boundary the benchmark's layer tracer names.
     """
     compact = np.asarray(compact, dtype=float)
     if compact.shape[-2:] != (4, 4):
@@ -68,11 +72,22 @@ def embed_n_plus_1(compact):
     return np.ascontiguousarray(compact[..., idx[:, None], idx])
 
 
+def corner_blocks(values):
+    """The corners ``A, B, C, D`` of ``S = [[A, B], [C, D]]`` for a 6x6
+    or compact 4x4 matrix, or a ``(..., n, n)`` stack, as ``(..., 3, 3)``
+    views of one copy: A and D take the first and second triple of
+    :attr:`Scheme.embed_index` as rows and columns, B and C mix them."""
+    values = np.asarray(values, dtype=float)
+    triples = np.array(Scheme.of_shape(values.shape).embed_index).reshape(2, 3)
+    # blocks[..., i, j, :, :] pairs row triple i with column triple j
+    blocks = values[..., triples[:, None, :, None], triples[None, :, None, :]]
+    return blocks[..., 0, 0, :, :], blocks[..., 0, 1, :, :], blocks[..., 1, 0, :, :], blocks[..., 1, 1, :, :]
+
+
 def partial_determinant(values):
-    """Partial determinant ``A^-1 B D^-1 C`` of a 6x6 expectation matrix,
-    or of every matrix in a ``(..., 6, 6)`` stack.  Compact 4x4 matrices
-    (a ``(..., 4, 4)`` stack) are embedded with :func:`embed_n_plus_1`
-    first.
+    """Partial determinant ``A^-1 B D^-1 C`` of a 6x6 or compact 4x4
+    expectation matrix, or of every matrix in a ``(..., n, n)`` stack,
+    on the corners :func:`corner_blocks` gathers.
 
     Raises :class:`SingularMatrixError` naming the corner when the
     upper-left or lower-right block cannot be inverted reliably; that
@@ -80,14 +95,9 @@ def partial_determinant(values):
     error.  For a stack the error names the lowest failing sample
     (1-based), and within it the upper-left corner before the lower-right.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape[-2:] == (4, 4):
-        values = embed_n_plus_1(values)
-    if values.shape[-2:] != (6, 6):
-        raise ShapeError(f"partial determinant expects 6x6 or 4x4 matrices, got shape {values.shape}")
-    corners = np.stack([values[..., :3, :3], values[..., 3:, 3:]], axis=-3)
-    inverses = guarded_inv3(corners, where=_CORNERS)
-    return inverses[..., 0, :, :] @ values[..., :3, 3:] @ inverses[..., 1, :, :] @ values[..., 3:, :3]
+    a, b, c, d = corner_blocks(values)
+    inverses = guarded_inv3(np.stack([a, d], axis=-3), where=_CORNERS)
+    return inverses[..., 0, :, :] @ b @ inverses[..., 1, :, :] @ c
 
 
 @dataclass(frozen=True)
@@ -132,7 +142,7 @@ def delta_statistics(samples):
             np.where(np.abs(mean) > 1e-12, np.inf, 0.0),
             np.abs(mean) / np.where(zero_std, 1.0, std),
         )
-    scheme = Scheme.N_PLUS_ONE if samples.shape[-1] == 4 else Scheme.TWO_N
+    scheme = Scheme.of_shape(samples.shape)
     return DeltaStats(mean=mean, std=std, significance=significance, repetitions=len(samples), scheme=scheme)
 
 

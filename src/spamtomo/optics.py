@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonPhysicalError
+from .errors import ConfigError, NonPhysicalError, ShapeError
 
 # Default wave-plate rotation angles for the six settings, chosen to
 # sample the state and observable spaces (H/V, circular, diagonal, and
@@ -69,7 +69,7 @@ def _is_finite_real(value):
 
 class Scheme(str, enum.Enum):
     """Measurement scheme: all six settings, or the compact four-setting
-    variant whose matrix is later embedded by duplicating rows/columns."""
+    variant whose corner blocks reuse preparations and settings 2 and 3."""
 
     TWO_N = "2n"
     N_PLUS_ONE = "n+1"
@@ -78,11 +78,20 @@ class Scheme(str, enum.Enum):
     def n_settings(self):
         return 6 if self is Scheme.TWO_N else 4
 
+    @classmethod
+    def of_shape(cls, shape):
+        """The scheme of an ``(..., n, n)`` matrix or stack from its size:
+        6x6 is 2n and 4x4 is n+1; any other raises :class:`ShapeError`."""
+        for scheme in cls:
+            if tuple(shape[-2:]) == (scheme.n_settings,) * 2:
+                return scheme
+        raise ShapeError(f"expectation matrix must be 6x6 or 4x4, got shape {tuple(shape)}")
+
     @property
     def embed_index(self):
         """Preparation (and setting) index, 0-based, behind each row (and
-        column) of the 6x6 matrix the partial determinant tests: the
-        identity for six settings; for four, rows 5 and 6 repeat 2 and 3."""
+        column) of the corners ``[[A, B], [C, D]]``: A's triple, then D's.
+        The identity for six settings; for four, D's is 4, 2, 3 (1-based)."""
         return (0, 1, 2, 3, 4, 5) if self is Scheme.TWO_N else (0, 1, 2, 3, 1, 2)
 
 

@@ -1,13 +1,14 @@
-"""State and detector tomography by matrix inversion, and the loop test.
+"""The loop test: states and observables from the corner blocks by
+inversion, and scores against nominal vectors.
 
 Once an expectation matrix is found free of correlated errors it
 factorizes as ``S = P W`` with Stokes rows ``P`` and observable columns
-``W``.  Knowing one factor on a 3x3 block recovers the other by exact
-inversion (no least squares, no likelihood fitting).  Chaining the
-inversions around the corner blocks - states from the upper-left block,
-new observables from the upper-right, more states from the lower-right -
-and then checking the lower-left block against the recovered pieces is
-the loop self-consistency test.
+``W``.  Knowing one factor on a 3x3 corner block recovers the other by
+exact inversion (no least squares, no likelihood fitting).  Chaining the
+inversions around the corners ``[[A, B], [C, D]]`` - states from A, new
+observables from B, more states from D - and then checking C against
+the recovered pieces is the loop self-consistency test.  The corners are
+the ones the partial determinant reads, for either scheme.
 
 Inverted vectors can land slightly outside the physical unit ball.  The
 loop carries the raw inverted values between legs and only at the end
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import guarded_inv3
-from .detect import embed_n_plus_1
+from .detect import corner_blocks
 from .errors import ShapeError, SingularMatrixError
 from .qubit import fidelity, povm_element_fidelity, relative_error
 
@@ -32,36 +33,6 @@ def _clip_to_ball(vectors):
     flags = norms > 1.0
     scaled = np.where(flags, vectors / np.where(flags, norms, 1.0), vectors)
     return scaled, flags.reshape(-1)
-
-
-def qst_invert(s_block, w_block):
-    """State tomography: recover Stokes rows from ``P = S W^-1``.
-
-    ``s_block`` is Mx3 (one row per preparation, restricted to the three
-    settings whose observables are known) and ``w_block`` holds those
-    three observable columns.  Returns the raw Mx3 rows, which may leave
-    the unit ball.
-    """
-    s_block = np.asarray(s_block, dtype=float)
-    if s_block.ndim != 2 or s_block.shape[1] != 3:
-        raise ShapeError(f"state tomography needs an Mx3 block, got shape {s_block.shape}")
-    w_inv = guarded_inv3(np.asarray(w_block, dtype=float), where="measurement block")
-    return s_block @ w_inv
-
-
-def qdt_invert(s_block, p_block):
-    """Detector tomography: recover observable columns from ``W = P^-1 S``.
-
-    ``s_block`` is 3xN (one column per setting, restricted to the three
-    preparations whose states are known) and ``p_block`` holds those
-    three Stokes rows.  Returns the raw 3xN columns, which may leave the
-    unit ball.
-    """
-    s_block = np.asarray(s_block, dtype=float)
-    if s_block.ndim != 2 or s_block.shape[0] != 3:
-        raise ShapeError(f"detector tomography needs a 3xN block, got shape {s_block.shape}")
-    p_inv = guarded_inv3(np.asarray(p_block, dtype=float), where="preparation block")
-    return p_inv @ s_block
 
 
 @dataclass(frozen=True)
@@ -77,38 +48,36 @@ class LoopResult:
     consistency_residual: float
 
 
-def _leg(name, invert, s_block, known):
-    """One leg of the loop, its singular-block error prefixed by ``name``."""
-    try:
-        return invert(s_block, known)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"{name}: {exc}", where=exc.where) from exc
-
-
 def loop_bootstrap(values, known_w):
-    """Run the tomography loop on a 6x6 expectation matrix, or on a
-    compact 4x4 one embedded with :func:`embed_n_plus_1` first.
+    """Run the tomography loop on a 6x6 or compact 4x4 expectation matrix,
+    on the corners ``[[A, B], [C, D]]`` that :func:`corner_blocks` gathers.
 
     ``known_w`` holds the observable columns of settings 1-3.  The legs
-    run in order: states 1-3 from the upper-left block, observables 4-6
-    from the upper-right, states 4-6 from the lower-right.  The residual
-    is the largest element-wise mismatch between the lower-left block and
-    the product of the recovered states 4-6 with the known observables.
-    Rescaling onto the unit sphere happens only after all legs.
+    run in order, each one guarded 3x3 inversion: states 1-3
+    ``P1 = A W1^-1`` from the upper-left block, observables 4-6
+    ``W2 = P1^-1 B`` from the upper-right, states 4-6 ``P2 = D W2^-1``
+    from the lower-right.  The residual is the largest element-wise
+    mismatch between C and ``P2 W1``.  Rescaling onto the unit sphere
+    happens only after all legs.  For four settings, rows 5-6 of the
+    states and columns 5-6 of the observables recover preparations and
+    settings 2-3 a second time.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape == (4, 4):
-        values = embed_n_plus_1(values)
-    if values.shape != (6, 6):
-        raise ShapeError(f"loop expects a 6x6 or 4x4 matrix, got shape {values.shape}")
+    if np.ndim(values) != 2:
+        raise ShapeError(f"loop expects one 6x6 or 4x4 matrix, got shape {np.shape(values)}")
+    a, b, c, d = corner_blocks(values)
     known_w = np.asarray(known_w, dtype=float)
     if known_w.shape != (3, 3):
         raise ShapeError(f"known observables must form a 3x3 block, got shape {known_w.shape}")
 
-    a, b, c, d = values[:3, :3], values[:3, 3:], values[3:, :3], values[3:, 3:]
-    p_first = _leg("state-tomography leg on the upper-left block", qst_invert, a, known_w)
-    w_rest = _leg("detector-tomography leg on the upper-right block", qdt_invert, b, p_first)
-    p_rest = _leg("state-tomography leg on the lower-right block", qst_invert, d, w_rest)
+    try:
+        leg = "state-tomography leg on the upper-left block"
+        p_first = a @ guarded_inv3(known_w, where="measurement block")
+        leg = "detector-tomography leg on the upper-right block"
+        w_rest = guarded_inv3(p_first, where="preparation block") @ b
+        leg = "state-tomography leg on the lower-right block"
+        p_rest = d @ guarded_inv3(w_rest, where="measurement block")
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"{leg}: {exc}", where=exc.where) from exc
 
     residual = float(np.abs(c - p_rest @ known_w).max())
 

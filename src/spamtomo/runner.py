@@ -45,9 +45,9 @@ EXIT_DETECTED = 2
 def _scored_operators(scheme):
     """Loop rows and columns scored against the plan.
 
-    Rows: the first row of each distinct preparation in the embedded
-    matrix.  Columns: the three observables the loop reconstructs (columns
-    1-3 echo the known inputs).  ``scheme.embed_index`` maps both to the
+    Rows: the first row of each distinct preparation in the loop's states.
+    Columns: the three observables the loop reconstructs (columns 1-3
+    echo the known inputs).  ``scheme.embed_index`` maps both to the
     0-based preparation and setting they hold.
     """
     index = scheme.embed_index

@@ -268,9 +268,14 @@ class TestParser:
             main(["--help"])
         assert capsys.readouterr().out == build_parser().format_help()
 
-    @pytest.mark.parametrize("argv", [["bogus"], [], ["--seed", "3"], ["full", "extra"]])
-    def test_bad_mode_exits_2(self, capsys, argv):
+    @pytest.mark.parametrize(
+        "argv",
+        [["bogus"], [], ["--seed", "3"], ["full", "extra"], ["full", "--seed", "abc"], ["full", "--scheme", "3n"]],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        # status 2 means a detected correlated error, so a typo must not
+        # exit with argparse's usual 2
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "usage: spamtomo" in capsys.readouterr().err

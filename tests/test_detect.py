@@ -19,6 +19,7 @@ from spamtomo import (
     true_expectation_matrix,
     validate_expectation_matrix,
 )
+from spamtomo.detect import corner_blocks
 from conftest import sample_invertible, sample_stokes_ball
 
 
@@ -139,6 +140,16 @@ class TestPartialDeterminant:
             np.testing.assert_allclose(delta[k], expected, atol=1e-9)
             np.testing.assert_allclose(partial_determinant(stack[k]), expected, atol=1e-9)
 
+    def test_compact_corner_triples(self):
+        # four settings: the corners are the quadrants of the embedded
+        # matrix, so the second triple is preparations/settings 4, 2, 3
+        compact = np.arange(32, dtype=float).reshape(2, 4, 4) / 32.0
+        full = embed_n_plus_1(compact)
+        quadrants = (full[..., :3, :3], full[..., :3, 3:], full[..., 3:, :3], full[..., 3:, 3:])
+        for block, quadrant in zip(corner_blocks(compact), quadrants):
+            np.testing.assert_array_equal(block, quadrant)
+        np.testing.assert_array_equal(corner_blocks(compact[0])[3], compact[0][np.ix_([3, 1, 2], [3, 1, 2])])
+
     def test_stack_equals_per_matrix(self, rng):
         stack = np.array([consistent_matrix(rng) + 0.01 * rng.standard_normal((6, 6)) for _ in range(50)])
         delta = partial_determinant(stack)
@@ -148,7 +159,8 @@ class TestPartialDeterminant:
         np.testing.assert_array_equal(partial_determinant(stack.reshape(5, 10, 6, 6)), delta.reshape(5, 10, 3, 3))
 
     def test_rejects_wrong_shape(self):
-        # a compact 4x4 matrix is embedded; every other shape is refused
+        # a compact 4x4 matrix is read through its corner triples; every
+        # other shape is refused
         partial_determinant(paper_angle_matrix(Scheme.N_PLUS_ONE))
         with pytest.raises(ShapeError):
             partial_determinant(np.ones((5, 5)))

@@ -1,9 +1,10 @@
 """Property tests: the consistency identity and its symmetries on random
-stacks, the plates' Stokes rotations against their Jones matrices, the
-vector scores against their matrix forms, the measurement-file loader on
-random and fuzzed input and against a line scan of every file, fuzzed
-configs, the simulator's samples against the run length and block size
-and as count fractions, and the report writer against json.dumps."""
+stacks, the loop residual as the closure mismatch, the plates' Stokes
+rotations against their Jones matrices, the vector scores against their
+matrix forms, the measurement-file loader on random and fuzzed input and
+against a line scan of every file, fuzzed configs, the simulator's
+samples against the run length and block size and as count fractions,
+and the report writer against json.dumps."""
 
 import json
 import math
@@ -566,6 +567,43 @@ def test_compact_record_analyses_as_its_embedding(seed, source, jitter, injectio
     assert _arrays_or_error(loop_bootstrap, compact.mean(axis=0), known) == _arrays_or_error(
         loop_bootstrap, embedded.mean(axis=0), known
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    scheme=st.sampled_from(list(Scheme)),
+    source=st.sampled_from(list(SourceKind)),
+    noise=st.sampled_from([(None, 0.0), (1000, optics.DEFAULT_ANGLE_JITTER), (10_000, 0.05)]),
+    injections=st.lists(
+        st.builds(ErrorInjection, st.integers(1, 4), st.integers(1, 4), st.sampled_from([np.pi / 4, np.pi / 20])),
+        max_size=2,
+    ),
+    reps=st.sampled_from([2, 10, 37]),
+)
+def test_loop_residual_is_the_closure_mismatch(seed, scheme, source, noise, injections, reps):
+    # the legs give P2 W1 = D B^-1 A whatever W1 is, so the residual is the
+    # paper's closure mismatch max|C - D B^-1 A| and does not move when the
+    # known observables W1 change by an invertible g; the corners are read
+    # from the 6x6 form, embedded for four settings
+    shots, jitter = noise
+    plan = ExperimentPlan(
+        source=source,
+        scheme=scheme,
+        errors=tuple(injections),
+        noise=NoiseModel(shots_per_setting=shots, angle_jitter_sigma=jitter, seed=seed),
+        repetitions=reps,
+    )
+    mean = run_experiment(plan).mean(axis=0)
+    full = embed_n_plus_1(mean) if scheme is Scheme.N_PLUS_ONE else mean
+    a, b, c, d = full[:3, :3], full[:3, 3:], full[3:, :3], full[3:, 3:]
+    closure = np.abs(c - d @ np.linalg.solve(b, a)).max()
+    tolerance = 1e-12 * np.abs(mean).max()
+    known = theoretical_observables(plan)[:, :3]
+    residual = loop_bootstrap(mean, known).consistency_residual
+    assert abs(residual - closure) <= tolerance
+    g = sample_invertible(np.random.default_rng(seed))
+    assert abs(loop_bootstrap(mean, g @ known).consistency_residual - residual) <= tolerance
 
 
 # -0.0, the smallest subnormal, the switches to and from exponent notation

@@ -8,8 +8,6 @@ from spamtomo import (
     ShapeError,
     SingularMatrixError,
     loop_bootstrap,
-    qdt_invert,
-    qst_invert,
     run_experiment,
     score_reconstruction,
     theoretical_observables,
@@ -30,55 +28,6 @@ def truth(plan):
     return theoretical_states(plan), theoretical_observables(plan)
 
 
-class TestQstInvert:
-    def test_orthonormal_design(self):
-        # observables along the three axes make the expectation matrix the
-        # state rows themselves
-        w = np.eye(3)
-        s = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-        np.testing.assert_allclose(qst_invert(s, w), np.eye(3), atol=1e-12)
-
-    def test_round_trip_against_bench_truth(self):
-        plan = noiseless_plan()
-        rows_true, cols_true = truth(plan)
-        s = true_expectation_matrix(plan)
-        np.testing.assert_allclose(qst_invert(s[:, :3], cols_true[:, :3]), rows_true, atol=1e-10)
-
-    def test_returns_raw_rows(self):
-        # a row outside the unit ball is returned as inverted
-        s = np.array([[1.2, 0, 0], [0, 0.5, 0]])
-        np.testing.assert_allclose(qst_invert(s, np.eye(3)), s, atol=1e-12)
-
-    def test_singular_measurement_block(self):
-        w = np.zeros((3, 3))
-        with pytest.raises(SingularMatrixError, match="measurement"):
-            qst_invert(np.eye(3), w)
-
-
-class TestQdtInvert:
-    def test_axis_states_recover_axis_observables(self):
-        p = np.eye(3)
-        s = np.diag([1.0, -1.0, 1.0])
-        np.testing.assert_allclose(qdt_invert(s, p), np.diag([1.0, -1.0, 1.0]), atol=1e-12)
-
-    def test_round_trip_against_bench_truth(self):
-        plan = noiseless_plan()
-        rows_true, cols_true = truth(plan)
-        s = true_expectation_matrix(plan)
-        np.testing.assert_allclose(qdt_invert(s[:3, :], rows_true[:3]), cols_true, atol=1e-10)
-
-    def test_inversion_round_trip(self):
-        plan = noiseless_plan()
-        rows_true, cols_true = truth(plan)
-        s = true_expectation_matrix(plan)
-        cols = qdt_invert(s[:3, :3], rows_true[:3])
-        np.testing.assert_allclose(qst_invert(s[:, :3], cols), rows_true, atol=1e-10)
-
-    def test_singular_preparation_block(self):
-        with pytest.raises(SingularMatrixError, match="preparation"):
-            qdt_invert(np.eye(3), np.zeros((3, 3)))
-
-
 class TestLoopBootstrap:
     def test_noiseless_recovery(self):
         plan = noiseless_plan()
@@ -88,6 +37,45 @@ class TestLoopBootstrap:
         assert result.consistency_residual < 1e-9
         np.testing.assert_allclose(result.prep_stokes, rows_true, atol=1e-9)
         np.testing.assert_allclose(result.obs_vectors, cols_true, atol=1e-9)
+
+    def test_axis_observables_read_states_off_the_block(self):
+        # observables along the three axes for settings 1-3 make the
+        # upper-left block the state rows themselves
+        rows_true, cols_true = truth(noiseless_plan())
+        rows = np.vstack([np.eye(3), 0.9 * rows_true[3:]])
+        cols = np.hstack([np.eye(3), 0.9 * cols_true[:, 3:]])
+        s = rows @ cols
+        result = loop_bootstrap(s, np.eye(3))
+        np.testing.assert_allclose(result.prep_stokes[:3], s[:3, :3], atol=1e-12)
+        np.testing.assert_allclose(result.prep_stokes[3:], rows[3:], atol=1e-12)
+        assert result.consistency_residual < 1e-12
+
+    def test_axis_states_read_observables_off_the_block(self):
+        # axis states for preparations 1-3 make the upper-right block the
+        # observable columns of settings 4-6 themselves
+        rows_true, cols_true = truth(noiseless_plan())
+        rows = np.vstack([np.eye(3), 0.9 * rows_true[3:]])
+        cols = np.hstack([cols_true[:, :3], np.diag([1.0, -1.0, 1.0])])
+        s = rows @ cols
+        result = loop_bootstrap(s, cols[:, :3])
+        np.testing.assert_allclose(result.obs_vectors[:, 3:], np.diag([1.0, -1.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(result.obs_vectors[:, 3:], s[:3, 3:], atol=1e-12)
+        np.testing.assert_allclose(result.prep_stokes[3:], rows[3:], atol=1e-12)
+        assert result.consistency_residual < 1e-12
+
+    def test_raw_rows_carried_between_legs(self):
+        # preparation 2 at |s| = 1.2 leaves the first leg outside the ball;
+        # the detector leg inverts the raw rows, so the observables come
+        # back exact and only that row is rescaled, after all legs
+        rows_true, cols_true = truth(noiseless_plan())
+        rows, cols = rows_true.copy(), 0.9 * cols_true
+        rows[1] = 1.2 * rows_true[1]
+        result = loop_bootstrap(rows @ cols, cols[:, :3])
+        assert result.prep_renormalized.tolist() == [False, True, False, False, False, False]
+        assert not result.obs_renormalized.any()
+        np.testing.assert_allclose(result.obs_vectors, cols, atol=1e-9)
+        np.testing.assert_allclose(result.prep_stokes, rows_true, atol=1e-9)
+        assert result.consistency_residual < 1e-9
 
     def test_perturbed_lower_left_raises_residual(self):
         plan = noiseless_plan()
@@ -181,12 +169,15 @@ class TestLoopBootstrap:
         np.testing.assert_allclose(result.obs_vectors, cols, atol=1e-9)
 
     def test_shape_checks(self):
-        # a compact 4x4 matrix is embedded; every other shape is refused
+        # a compact 4x4 matrix is read through its corner triples; every
+        # other shape, and a stack of matrices, is refused
         plan = ExperimentPlan(scheme=Scheme.N_PLUS_ONE, noise=noiseless_plan().noise)
         result = loop_bootstrap(true_expectation_matrix(plan), theoretical_observables(plan)[:, :3])
         assert result.consistency_residual < 1e-9
         with pytest.raises(ShapeError):
             loop_bootstrap(np.zeros((5, 5)), np.eye(3))
+        with pytest.raises(ShapeError):
+            loop_bootstrap(np.zeros((2, 6, 6)), np.eye(3))
         with pytest.raises(ShapeError):
             loop_bootstrap(np.zeros((6, 6)), np.eye(2))
 
