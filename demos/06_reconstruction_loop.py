@@ -1,8 +1,9 @@
 """Reconstructing states and detector POVMs once the data are clean.
 
-Knowing only the observables of settings 1-3, the loop recovers all six
-preparations and the remaining three observables by chained matrix
-inversions, and the unused lower-left corner of the matrix grades the
+Knowing only the observables W1 of settings 1-3, the loop recovers all
+six preparations and the remaining three observables in closed form from
+one inversion of W1 and the corners A and B, and the unused lower-left
+corner C, against the loop's prediction D B^-1 A, grades the
 self-consistency of the whole story.
 """
 

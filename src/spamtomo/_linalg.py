@@ -1,8 +1,9 @@
 """Closed-form 3x3 adjugate and guarded inverse over stacks.
 
-The corner blocks of every repetition's expectation matrix are inverted
-in one pass, so the inverse is computed branch-free from the adjugate on
-``(..., 3, 3)`` stacks rather than through a factorization per matrix.
+The corner blocks of every repetition's expectation matrix, and the
+loop's three blocks, are each inverted in one pass, so the inverse is
+computed branch-free from the adjugate on ``(..., 3, 3)`` stacks rather
+than through a factorization per matrix.
 The singularity guard compares each determinant against the Frobenius
 scale of its matrix, which separates a degenerate choice of settings
 from an actual correlated error; a non-finite determinant counts as

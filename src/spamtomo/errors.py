@@ -17,9 +17,9 @@ class NonPhysicalError(SpamTomoError, ValueError):
 class SingularMatrixError(SpamTomoError, ValueError):
     """A matrix that must be inverted is singular or nearly singular.
 
-    ``where`` names the offending block or tomography leg.  For corner
-    blocks of an expectation matrix this signals a degenerate choice of
-    settings, not a correlated SPAM error.
+    ``where`` names the offending block: a corner of an expectation
+    matrix, or the known observables.  For a corner this signals a
+    degenerate choice of settings, not a correlated SPAM error.
     """
 
     def __init__(self, message, where=None):

@@ -4,16 +4,16 @@ inversion, and scores against nominal vectors.
 Once an expectation matrix is found free of correlated errors it
 factorizes as ``S = P W`` with Stokes rows ``P`` and observable columns
 ``W``.  Knowing one factor on a 3x3 corner block recovers the other by
-exact inversion (no least squares, no likelihood fitting).  Chaining the
-inversions around the corners ``[[A, B], [C, D]]`` - states from A, new
-observables from B, more states from D - and then checking C against
-the recovered pieces is the loop self-consistency test.  The corners are
-the ones the partial determinant reads, for either scheme.
+exact inversion (no least squares, no likelihood fitting).  Going around
+the corners ``[[A, B], [C, D]]`` - states from A, new observables from
+B, more states from D - closes in one formula: the loop predicts the
+unused corner as ``D B^-1 A``, and C must equal it.  The corners are the
+ones the partial determinant reads, for either scheme.
 
 Inverted vectors can land slightly outside the physical unit ball.  The
-loop carries the raw inverted values between legs and only at the end
-rescales those outside onto the sphere and flags them (the rescaled
-vector is pure), so projection bias does not compound.
+loop rescales those outside onto the sphere and flags them (the
+rescaled vector is pure) only once every vector is recovered, so
+projection bias does not compound.
 """
 
 from dataclasses import dataclass
@@ -22,15 +22,18 @@ import numpy as np
 
 from ._linalg import guarded_inv3
 from .detect import corner_blocks
-from .errors import ShapeError, SingularMatrixError
-from .qubit import fidelity, povm_element_fidelity, relative_error
+from .errors import ShapeError
+from .qubit import PURITY_ATOL, fidelity, povm_element_fidelity, relative_error
+
+_BLOCKS = ("known observables", "upper-left corner", "upper-right corner")
 
 
 def _clip_to_ball(vectors):
-    """Rescale the rows with norm > 1 onto the unit sphere; flag them."""
-    vectors = np.array(vectors, dtype=float)
+    """Rescale the rows outside the unit ball onto the sphere; flag them.
+    A row within roundoff of the sphere counts as on it, as in
+    :func:`fidelity`."""
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    flags = norms > 1.0
+    flags = norms > 1.0 + PURITY_ATOL
     scaled = np.where(flags, vectors / np.where(flags, norms, 1.0), vectors)
     return scaled, flags.reshape(-1)
 
@@ -52,15 +55,15 @@ def loop_bootstrap(values, known_w):
     """Run the tomography loop on a 6x6 or compact 4x4 expectation matrix,
     on the corners ``[[A, B], [C, D]]`` that :func:`corner_blocks` gathers.
 
-    ``known_w`` holds the observable columns of settings 1-3.  The legs
-    run in order, each one guarded 3x3 inversion: states 1-3
-    ``P1 = A W1^-1`` from the upper-left block, observables 4-6
-    ``W2 = P1^-1 B`` from the upper-right, states 4-6 ``P2 = D W2^-1``
-    from the lower-right.  The residual is the largest element-wise
-    mismatch between C and ``P2 W1``.  Rescaling onto the unit sphere
-    happens only after all legs.  For four settings, rows 5-6 of the
-    states and columns 5-6 of the observables recover preparations and
-    settings 2-3 a second time.
+    ``known_w`` holds the observable columns ``W1`` of settings 1-3.  One
+    guarded 3x3 inversion of ``W1``, A and B, checked in that order,
+    gives the loop in closed form: the states ``P = [A; D B^-1 A] W1^-1``
+    and the observables of settings 4-6 ``W2 = W1 A^-1 B``.  The residual
+    is the largest element-wise mismatch between C and the loop's
+    ``D B^-1 A``, so it does not depend on ``W1``.  Rescaling onto the
+    unit sphere happens only once every vector is recovered.  For four
+    settings, rows 5-6 of the states and columns 5-6 of the observables
+    recover preparations and settings 2-3 a second time.
     """
     if np.ndim(values) != 2:
         raise ShapeError(f"loop expects one 6x6 or 4x4 matrix, got shape {np.shape(values)}")
@@ -69,26 +72,16 @@ def loop_bootstrap(values, known_w):
     if known_w.shape != (3, 3):
         raise ShapeError(f"known observables must form a 3x3 block, got shape {known_w.shape}")
 
-    try:
-        leg = "state-tomography leg on the upper-left block"
-        p_first = a @ guarded_inv3(known_w, where="measurement block")
-        leg = "detector-tomography leg on the upper-right block"
-        w_rest = guarded_inv3(p_first, where="preparation block") @ b
-        leg = "state-tomography leg on the lower-right block"
-        p_rest = d @ guarded_inv3(w_rest, where="measurement block")
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"{leg}: {exc}", where=exc.where) from exc
-
-    residual = float(np.abs(c - p_rest @ known_w).max())
-
-    prep, prep_flags = _clip_to_ball(np.vstack([p_first, p_rest]))
-    obs_t, obs_flags = _clip_to_ball(np.hstack([known_w, w_rest]).T)
+    w1_inv, a_inv, b_inv = guarded_inv3(np.stack([known_w, a, b]), where=_BLOCKS)
+    c_loop = d @ b_inv @ a
+    prep, prep_flags = _clip_to_ball(np.vstack([a, c_loop]) @ w1_inv)
+    obs_t, obs_flags = _clip_to_ball(np.hstack([known_w, known_w @ a_inv @ b]).T)
     return LoopResult(
         prep_stokes=prep,
         obs_vectors=obs_t.T,
         prep_renormalized=prep_flags,
         obs_renormalized=obs_flags,
-        consistency_residual=residual,
+        consistency_residual=float(np.abs(c - c_loop).max()),
     )
 
 

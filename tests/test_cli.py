@@ -124,6 +124,13 @@ class TestCli:
         code = main(["full", "--config", config])
         assert code == 1
 
+    def test_singular_known_observables_exit_code(self, tmp_path, capsys):
+        # the loop inverts the known observables first and names them
+        config = write_config(tmp_path, {"seed": 1, "known_povms": [[0, 0, 0]] * 3})
+        code = main(["full", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "near-singular known observables" in capsys.readouterr().err
+
     def test_non_finite_data_exit_code(self, tmp_path, capsys):
         out_a = str(tmp_path / "a")
         assert main(["simulate", "--seed", "3", "--out", out_a]) == 0

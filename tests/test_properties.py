@@ -1,5 +1,6 @@
 """Property tests: the consistency identity and its symmetries on random
-stacks, the loop residual as the closure mismatch, the plates' Stokes
+stacks, the loop residual as the closure mismatch, the loop's states and
+observables against the corners they invert, the plates' Stokes
 rotations against their Jones matrices, the vector scores against their
 matrix forms, the measurement-file loader on random and fuzzed input and
 against a line scan of every file, fuzzed configs, the simulator's
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
@@ -33,7 +34,6 @@ from spamtomo import (  # noqa: E402
     default_settings,
     delta_statistics,
     detect,
-    embed_n_plus_1,
     fidelity,
     load_measurements,
     loop_bootstrap,
@@ -529,6 +529,25 @@ def test_samples_are_correctly_rounded_count_fractions(seed, scheme, source, sho
             assert re.fullmatch(r"-?[01]\.\d{1,4}", repr(s)), repr(s)
 
 
+# Rows and columns (0-based) behind the corners [[A, B], [C, D]] of each
+# scheme, spelled out here rather than read from Scheme.embed_index, so
+# that the oracles built on them can catch a wrong index in the package.
+CORNER_TRIPLES = {Scheme.TWO_N: (0, 1, 2, 3, 4, 5), Scheme.N_PLUS_ONE: (0, 1, 2, 3, 1, 2)}
+
+
+def oracle_six_by_six(values, scheme):
+    """Test oracle: the 6x6 form of a matrix or ``(..., n, n)`` stack of
+    ``scheme``, in C order so that reductions over a stack sum alike."""
+    idx = np.array(CORNER_TRIPLES[scheme])
+    return np.ascontiguousarray(np.asarray(values)[..., idx[:, None], idx])
+
+
+def oracle_corners(values, scheme):
+    """Test oracle: the corners ``A, B, C, D`` of a matrix of ``scheme``."""
+    full = oracle_six_by_six(values, scheme)
+    return full[:3, :3], full[:3, 3:], full[3:, :3], full[3:, 3:]
+
+
 def _arrays_or_error(f, *args):
     """The arrays of ``f(*args)`` in field order, or its singular-block
     message."""
@@ -561,7 +580,7 @@ def test_compact_record_analyses_as_its_embedding(seed, source, jitter, injectio
         repetitions=reps,
     )
     compact = run_experiment(plan)
-    embedded = embed_n_plus_1(compact)
+    embedded = oracle_six_by_six(compact, Scheme.N_PLUS_ONE)
     assert _arrays_or_error(delta_statistics, compact) == _arrays_or_error(delta_statistics, embedded)
     known = theoretical_observables(plan)[:, :3]
     assert _arrays_or_error(loop_bootstrap, compact.mean(axis=0), known) == _arrays_or_error(
@@ -582,10 +601,9 @@ def test_compact_record_analyses_as_its_embedding(seed, source, jitter, injectio
     reps=st.sampled_from([2, 10, 37]),
 )
 def test_loop_residual_is_the_closure_mismatch(seed, scheme, source, noise, injections, reps):
-    # the legs give P2 W1 = D B^-1 A whatever W1 is, so the residual is the
-    # paper's closure mismatch max|C - D B^-1 A| and does not move when the
-    # known observables W1 change by an invertible g; the corners are read
-    # from the 6x6 form, embedded for four settings
+    # the loop predicts C as D B^-1 A whatever W1 is, so the residual is
+    # the paper's closure mismatch max|C - D B^-1 A| and does not move when
+    # the known observables W1 change by an invertible g
     shots, jitter = noise
     plan = ExperimentPlan(
         source=source,
@@ -595,8 +613,7 @@ def test_loop_residual_is_the_closure_mismatch(seed, scheme, source, noise, inje
         repetitions=reps,
     )
     mean = run_experiment(plan).mean(axis=0)
-    full = embed_n_plus_1(mean) if scheme is Scheme.N_PLUS_ONE else mean
-    a, b, c, d = full[:3, :3], full[:3, 3:], full[3:, :3], full[3:, 3:]
+    a, b, c, d = oracle_corners(mean, scheme)
     closure = np.abs(c - d @ np.linalg.solve(b, a)).max()
     tolerance = 1e-12 * np.abs(mean).max()
     known = theoretical_observables(plan)[:, :3]
@@ -604,6 +621,30 @@ def test_loop_residual_is_the_closure_mismatch(seed, scheme, source, noise, inje
     assert abs(residual - closure) <= tolerance
     g = sample_invertible(np.random.default_rng(seed))
     assert abs(loop_bootstrap(mean, g @ known).consistency_residual - residual) <= tolerance
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), scheme=st.sampled_from(list(Scheme)), noise=st.sampled_from([0.0, 1e-5, 1e-4]))
+def test_loop_reproduces_the_corners_it_inverts(seed, scheme, noise):
+    # the loop's definition, in no particular order of inversion: states
+    # P1 and observables W2 reproduce A and B, states P2 reproduce D, and
+    # the residual is C against P2 W1
+    rng = np.random.default_rng(seed)
+    n = scheme.n_settings
+    p, w = 0.9 * sample_stokes_ball(rng, n), 0.9 * sample_stokes_ball(rng, n).T
+    s = p @ w + noise * rng.standard_normal((n, n))
+    a, b, c, d = oracle_corners(s, scheme)
+    assume(max(np.linalg.cond(m) for m in (w[:, :3], a, b)) < 20)
+    result = loop_bootstrap(s, w[:, :3])
+    assert not result.prep_renormalized.any()
+    assert not result.obs_renormalized.any()
+    p1, p2 = result.prep_stokes[:3], result.prep_stokes[3:]
+    w2 = result.obs_vectors[:, 3:]
+    tolerance = 1e-10 * np.abs(s).max()
+    assert np.abs(p1 @ w[:, :3] - a).max() <= tolerance
+    assert np.abs(p1 @ w2 - b).max() <= tolerance
+    assert np.abs(p2 @ w2 - d).max() <= tolerance
+    assert abs(np.abs(c - p2 @ w[:, :3]).max() - result.consistency_residual) <= tolerance
 
 
 # -0.0, the smallest subnormal, the switches to and from exponent notation

@@ -64,9 +64,9 @@ class TestLoopBootstrap:
         assert result.consistency_residual < 1e-12
 
     def test_raw_rows_carried_between_legs(self):
-        # preparation 2 at |s| = 1.2 leaves the first leg outside the ball;
-        # the detector leg inverts the raw rows, so the observables come
-        # back exact and only that row is rescaled, after all legs
+        # preparation 2 at |s| = 1.2 puts a row of A W1^-1 outside the ball;
+        # the observables W1 A^-1 B use the raw corner, so they come back
+        # exact and only that row is rescaled, once every vector is found
         rows_true, cols_true = truth(noiseless_plan())
         rows, cols = rows_true.copy(), 0.9 * cols_true
         rows[1] = 1.2 * rows_true[1]
@@ -98,22 +98,18 @@ class TestLoopBootstrap:
         plan = noiseless_plan()
         _, cols_true = truth(plan)
         s = true_expectation_matrix(plan)
-        s[:3, 3:] = 0.0  # kills the detector-tomography leg output
-        with pytest.raises(SingularMatrixError, match="lower-right"):
+        s[:3, 3:] = 0.0  # B, inverted for the closure D B^-1 A
+        with pytest.raises(SingularMatrixError, match="upper-right corner"):
             loop_bootstrap(s, cols_true[:, :3])
 
     @pytest.mark.parametrize(
-        "zeroed,leg,block",
-        [
-            ("known", "state-tomography leg on the upper-left block", "measurement block"),
-            ("upper-left", "detector-tomography leg on the upper-right block", "preparation block"),
-            ("upper-right", "state-tomography leg on the lower-right block", "measurement block"),
-        ],
-        ids=["upper-left", "upper-right", "lower-right"],
+        "zeroed,block",
+        [("known", "known observables"), ("upper-left", "upper-left corner"), ("upper-right", "upper-right corner")],
+        ids=["known", "upper-left", "upper-right"],
     )
-    def test_singular_leg_error_text(self, zeroed, leg, block):
-        # zeroing one input makes exactly one leg's inverted block zero:
-        # the known observables, or the block whose output the next leg inverts
+    def test_singular_leg_error_text(self, zeroed, block):
+        # the one inversion takes the known observables, A and B; zeroing
+        # one of them names that block
         plan = noiseless_plan()
         _, cols_true = truth(plan)
         s = true_expectation_matrix(plan)
@@ -126,11 +122,20 @@ class TestLoopBootstrap:
             s[:3, 3:] = 0.0
         with pytest.raises(SingularMatrixError) as excinfo:
             loop_bootstrap(s, known)
-        inner = f"near-singular {block}: |det| = 0.000e+00 at scale 0.000e+00"
-        assert str(excinfo.value) == f"{leg}: {inner}"
+        assert str(excinfo.value) == f"near-singular {block}: |det| = 0.000e+00 at scale 0.000e+00"
         assert excinfo.value.where == block
-        assert isinstance(excinfo.value.__cause__, SingularMatrixError)
-        assert str(excinfo.value.__cause__) == inner
+
+    def test_singular_blocks_checked_in_order(self):
+        # with every block zero, the known observables are named first,
+        # then A, then B
+        s = np.zeros((6, 6))
+        with pytest.raises(SingularMatrixError, match="known observables"):
+            loop_bootstrap(s, np.zeros((3, 3)))
+        with pytest.raises(SingularMatrixError, match="upper-left corner"):
+            loop_bootstrap(s, np.eye(3))
+        s[:3, :3] = np.eye(3)
+        with pytest.raises(SingularMatrixError, match="upper-right corner"):
+            loop_bootstrap(s, np.eye(3))
 
     def test_gauge_covariance(self, rng):
         # known observables g W give states P g^-1 and observables g W, so
@@ -180,6 +185,18 @@ class TestLoopBootstrap:
             loop_bootstrap(np.zeros((2, 6, 6)), np.eye(3))
         with pytest.raises(ShapeError):
             loop_bootstrap(np.zeros((6, 6)), np.eye(2))
+
+    def test_rescales_only_beyond_roundoff(self):
+        # a row 2 ulp past the sphere is a unit vector up to rounding and
+        # is left as it is; a row at 1 + 1e-9 is rescaled and flagged
+        near = np.array([1.0 + 2 * np.finfo(float).eps, 0.0, 0.0])
+        beyond = np.array([0.0, 0.6, 0.8]) * (1.0 + 1e-9)
+        rows = np.vstack([0.5 * np.eye(3), near, beyond, [0.0, 0.0, 0.5]])
+        result = loop_bootstrap(rows @ np.hstack([np.eye(3), np.eye(3)]), np.eye(3))
+        assert result.prep_renormalized.tolist() == [False, False, False, False, True, False]
+        assert np.array_equal(result.prep_stokes[3], near)
+        np.testing.assert_allclose(result.prep_stokes[4], [0.0, 0.6, 0.8], rtol=0, atol=1e-15)
+        assert np.linalg.norm(result.prep_stokes[4]) <= 1.0 + 2 * np.finfo(float).eps
 
 
 class TestScore:

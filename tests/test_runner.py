@@ -104,7 +104,7 @@ class TestOutputs:
         for kind in ("report", "measurements", "plot_grids", "timing"):
             assert os.path.exists(paths[kind]), kind
         payload = json.loads(Path(paths["report"]).read_text())
-        assert payload["schema"] == "spamtomo-report v4"
+        assert payload["schema"] == "spamtomo-report v5"
         assert payload["exit_code"] == EXIT_CLEAN
         assert payload["detection"]["detected"] is False
         assert len(payload["samples"]) == 10
@@ -154,7 +154,7 @@ class TestOutputs:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         payload = json.loads(Path(paths["report"]).read_text(), parse_constant=reject)
-        assert payload["schema"] == "spamtomo-report v4"
+        assert payload["schema"] == "spamtomo-report v5"
         assert "inf" in [v for row in payload["delta_stats"]["significance"] for v in row]
         emit_plot_data(payload, str(tmp_path / "again.csv"))
         assert (tmp_path / "again.csv").read_text() == Path(paths["plot_grids"]).read_text()
