@@ -10,6 +10,7 @@ goes to a sidecar file for that reason.
 """
 
 import contextlib
+import hashlib
 import os
 import time
 from dataclasses import dataclass
@@ -56,7 +57,8 @@ def _scored_operators(scheme):
 
 @dataclass
 class RunReport:
-    """Everything a run produced, ready for serialization."""
+    """Everything a run produced, ready for serialization.  ``samples`` is
+    the measured ``(R, n, n)`` stack; the report names it, not echoes it."""
 
     config: RunConfig
     samples: np.ndarray
@@ -69,7 +71,9 @@ class RunReport:
 
     def to_dict(self):
         """Deterministic report dictionary (wall clock deliberately
-        excluded; it goes to the timing sidecar)."""
+        excluded; it goes to the timing sidecar).  ``samples`` is the
+        record's repetition count, matrix size and the SHA-256 digest of
+        its little-endian float64 bytes in C order."""
         plan = self.config.experiment
         report = {
             "schema": REPORT_SCHEMA,
@@ -77,7 +81,11 @@ class RunReport:
             "scheme": plan.scheme.value,
             "threshold": self.config.detection_threshold,
             "seed": plan.noise.seed,
-            "samples": self.samples,
+            "samples": {
+                "repetitions": len(self.samples),
+                "size": self.samples.shape[-1],
+                "sha256": hashlib.sha256(np.ascontiguousarray(self.samples, dtype="<f8").tobytes()).hexdigest(),
+            },
             "exit_code": self.exit_code,
         }
         if self.stats is not None:

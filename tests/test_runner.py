@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -13,13 +14,16 @@ from spamtomo import (
     ExperimentPlan,
     NoiseModel,
     RunConfig,
+    RunReport,
     Scheme,
+    config_from_dict,
     emit_plot_data,
     load_measurements,
     run,
     save_measurements,
     write_outputs,
 )
+from spamtomo.cli import main
 
 
 def null_config(mode="full", noise=None, **fields):
@@ -28,6 +32,14 @@ def null_config(mode="full", noise=None, **fields):
     run_fields = {k: fields.pop(k) for k in ("input_data_path", "output_dir", "known_povms") if k in fields}
     plan = ExperimentPlan(noise=NoiseModel(**{"seed": 42, **(noise or {})}), **fields)
     return RunConfig(mode=mode, experiment=plan, **run_fields)
+
+
+def record_name(stack):
+    """What a report says of its record: the repetition count, the matrix
+    size and the SHA-256 digest of the little-endian float64 bytes in C
+    order."""
+    data = np.asarray(stack, dtype="<f8").tobytes(order="C")
+    return {"repetitions": stack.shape[0], "size": stack.shape[2], "sha256": hashlib.sha256(data).hexdigest()}
 
 
 class TestRun:
@@ -104,10 +116,10 @@ class TestOutputs:
         for kind in ("report", "measurements", "plot_grids", "timing"):
             assert os.path.exists(paths[kind]), kind
         payload = json.loads(Path(paths["report"]).read_text())
-        assert payload["schema"] == "spamtomo-report v5"
+        assert payload["schema"] == "spamtomo-report v6"
         assert payload["exit_code"] == EXIT_CLEAN
         assert payload["detection"]["detected"] is False
-        assert len(payload["samples"]) == 10
+        assert payload["samples"] == {"repetitions": 10, "size": 6, "sha256": record_name(report.samples)["sha256"]}
 
     def test_byte_identical_reports(self, tmp_path):
         config = null_config()
@@ -154,7 +166,7 @@ class TestOutputs:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         payload = json.loads(Path(paths["report"]).read_text(), parse_constant=reject)
-        assert payload["schema"] == "spamtomo-report v5"
+        assert payload["schema"] == "spamtomo-report v6"
         assert "inf" in [v for row in payload["delta_stats"]["significance"] for v in row]
         emit_plot_data(payload, str(tmp_path / "again.csv"))
         assert (tmp_path / "again.csv").read_text() == Path(paths["plot_grids"]).read_text()
@@ -169,3 +181,44 @@ class TestOutputs:
         assert payload["exit_code"] == EXIT_DETECTED
         assert payload["detection"]["detected"] is True
         assert [1, 1] in payload["detection"]["candidate_locations"]
+
+
+class TestRecordName:
+    """The report names its record by count, size and digest; the samples
+    themselves live in the record file or follow from the config echo."""
+
+    @pytest.mark.parametrize("scheme", ["2n", "n+1"])
+    def test_analyzed_record_is_named_by_its_digest(self, tmp_path, scheme):
+        record = str(tmp_path / "rec.csv")
+        sim = run(null_config(mode="simulate", scheme=Scheme(scheme), repetitions=7))
+        save_measurements(record, sim.samples, Scheme(scheme))
+        out = tmp_path / "out"
+        assert main(["analyze", "--data", record, "--scheme", scheme, "--out", str(out)]) in (0, 2)
+        stack, _ = load_measurements(record)
+        assert json.loads((out / "report.json").read_text())["samples"] == record_name(stack)
+
+    @pytest.mark.parametrize("scheme,size", [("2n", 6), ("n+1", 4)])
+    def test_full_run_names_its_own_measurements(self, tmp_path, scheme, size):
+        assert main(["full", "--seed", "5", "--scheme", scheme, "--out", str(tmp_path)]) in (0, 2)
+        stack, _ = load_measurements(str(tmp_path / "measurements.csv"))
+        named = json.loads((tmp_path / "report.json").read_text())["samples"]
+        assert named == record_name(stack)
+        assert (named["repetitions"], named["size"]) == (10, size)
+
+    def test_digest_reads_values_not_memory_layout(self):
+        samples = run(null_config(mode="simulate", repetitions=4)).samples
+        swapped = np.asfortranarray(samples.astype(">f8"))
+        assert swapped.dtype.byteorder == ">" and not swapped.flags.c_contiguous
+        config = null_config(mode="simulate")
+        native = RunReport(config=config, samples=samples).to_dict()["samples"]
+        assert RunReport(config=config, samples=swapped).to_dict()["samples"] == native == record_name(samples)
+
+    @pytest.mark.parametrize("scheme", [Scheme.TWO_N, Scheme.N_PLUS_ONE])
+    def test_config_echo_reproduces_simulated_record(self, tmp_path, scheme):
+        config = null_config(
+            mode="analyze", scheme=scheme, errors=(ErrorInjection(2, 2, np.pi / 8),), output_dir=str(tmp_path)
+        )
+        payload = json.loads(Path(write_outputs(run(config))["report"]).read_text())
+        assert not (tmp_path / "measurements.csv").exists()
+        again = run(config_from_dict(payload["config"]))
+        assert again.to_dict()["samples"] == payload["samples"] == record_name(again.samples)
