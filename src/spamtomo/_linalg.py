@@ -16,19 +16,33 @@ from .errors import SingularMatrixError
 
 DET_RTOL = 1e-10
 
+# Cofactor table: ``adj[i, j] = m[p] * m[q] - m[r] * m[s]`` on the
+# row-major flat index of a 3x3 matrix, one ``(p, q, r, s)`` per element
+# in row-major order; stored transposed, as the rows p, q, r and s.
+_COFACTORS = np.array(
+    [(4, 8, 5, 7), (2, 7, 1, 8), (1, 5, 2, 4), (5, 6, 3, 8), (0, 8, 2, 6), (2, 3, 0, 5), (3, 7, 4, 6), (1, 6, 0, 7), (0, 4, 1, 3)]
+).T
+
+# Matrices whose cofactor factors are gathered at once.  The gathered
+# factors are four times their matrices' size, so this bounds the memory a
+# long stack needs beyond its input and adjugate; the result does not
+# depend on it.
+BLOCK_MATRICES = 512
+
 
 def adjugate3(m):
-    adj = np.empty(m.shape, dtype=m.dtype)
-    adj[..., 0, 0] = m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1]
-    adj[..., 0, 1] = m[..., 0, 2] * m[..., 2, 1] - m[..., 0, 1] * m[..., 2, 2]
-    adj[..., 0, 2] = m[..., 0, 1] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 1]
-    adj[..., 1, 0] = m[..., 1, 2] * m[..., 2, 0] - m[..., 1, 0] * m[..., 2, 2]
-    adj[..., 1, 1] = m[..., 0, 0] * m[..., 2, 2] - m[..., 0, 2] * m[..., 2, 0]
-    adj[..., 1, 2] = m[..., 0, 2] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 2]
-    adj[..., 2, 0] = m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]
-    adj[..., 2, 1] = m[..., 0, 1] * m[..., 2, 0] - m[..., 0, 0] * m[..., 2, 1]
-    adj[..., 2, 2] = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    return adj
+    """Adjugate of a 3x3 matrix or of every matrix of a ``(..., 3, 3)``
+    stack: each element the difference of two products of the cofactor
+    table, gathered for :data:`BLOCK_MATRICES` matrices at a time."""
+    flat = m.reshape(-1, 9)
+    adj = np.empty(flat.shape, dtype=m.dtype)
+    for start in range(0, len(flat), BLOCK_MATRICES):
+        # entries as rows, so the gather copies whole rows
+        p, q, r, s = np.ascontiguousarray(flat[start : start + BLOCK_MATRICES].T)[_COFACTORS]
+        cofactors = p * q
+        cofactors -= r * s
+        adj[start : start + BLOCK_MATRICES] = cofactors.T
+    return adj.reshape(m.shape)
 
 
 def guarded_inv3(m, where):
@@ -49,7 +63,8 @@ def guarded_inv3(m, where):
     adj = adjugate3(m)
     # cofactor expansion along the first row: the adjugate's first column
     det = m[..., 0, 0] * adj[..., 0, 0] + m[..., 0, 1] * adj[..., 1, 0] + m[..., 0, 2] * adj[..., 2, 0]
-    scale = (np.linalg.norm(m, axis=(-2, -1)) / np.sqrt(3.0)) ** 3
+    # the Frobenius norm, summed as np.linalg.norm(m, 'fro') sums it
+    scale = (np.sqrt(np.add.reduce(m * m, axis=(-2, -1))) / np.sqrt(3.0)) ** 3
     singular = ~np.isfinite(det) | (np.abs(det) <= DET_RTOL * scale)
     if singular.any():
         index = tuple(np.argwhere(singular)[0])

@@ -32,6 +32,7 @@ from .optics import Scheme
 from .qubit import ATOL_INPUT
 
 _CORNERS = ("upper-left corner", "lower-right corner")
+_EYE3 = np.eye(3)
 
 
 def validate_expectation_matrix(values):
@@ -72,16 +73,33 @@ def embed_n_plus_1(compact):
     return np.ascontiguousarray(compact[..., idx[:, None], idx])
 
 
+def _corner_index(scheme):
+    """Row and column indices that gather the corners A, D, B, C of a
+    matrix measured in ``scheme`` as ``(..., 4, 3, 3)``, in that order."""
+    first, second = np.array(scheme.embed_index).reshape(2, 3)
+    rows = np.array([first, second, first, second])
+    cols = np.array([first, second, second, first])
+    return rows[:, :, None], cols[:, None, :]
+
+
+_CORNER_INDEX = {scheme: _corner_index(scheme) for scheme in Scheme}
+
+
+def _corners(values, scheme):
+    """The corners of ``(..., n, n)`` float matrices measured in
+    ``scheme``, as ``(..., 4, 3, 3)`` in the order A, D, B, C."""
+    rows, cols = _CORNER_INDEX[scheme]
+    return values[..., rows, cols]
+
+
 def corner_blocks(values):
     """The corners ``A, B, C, D`` of ``S = [[A, B], [C, D]]`` for a 6x6
     or compact 4x4 matrix, or a ``(..., n, n)`` stack, as ``(..., 3, 3)``
     views of one copy: A and D take the first and second triple of
     :attr:`Scheme.embed_index` as rows and columns, B and C mix them."""
     values = np.asarray(values, dtype=float)
-    triples = np.array(Scheme.of_shape(values.shape).embed_index).reshape(2, 3)
-    # blocks[..., i, j, :, :] pairs row triple i with column triple j
-    blocks = values[..., triples[:, None, :, None], triples[None, :, None, :]]
-    return blocks[..., 0, 0, :, :], blocks[..., 0, 1, :, :], blocks[..., 1, 0, :, :], blocks[..., 1, 1, :, :]
+    corners = _corners(values, Scheme.of_shape(values.shape))
+    return corners[..., 0, :, :], corners[..., 2, :, :], corners[..., 3, :, :], corners[..., 1, :, :]
 
 
 def partial_determinant(values):
@@ -95,9 +113,15 @@ def partial_determinant(values):
     error.  For a stack the error names the lowest failing sample
     (1-based), and within it the upper-left corner before the lower-right.
     """
-    a, b, c, d = corner_blocks(values)
-    inverses = guarded_inv3(np.stack([a, d], axis=-3), where=_CORNERS)
-    return inverses[..., 0, :, :] @ b @ inverses[..., 1, :, :] @ c
+    values = np.asarray(values, dtype=float)
+    return _partial_determinant(values, Scheme.of_shape(values.shape))
+
+
+def _partial_determinant(values, scheme):
+    """:func:`partial_determinant` of float matrices measured in ``scheme``."""
+    corners = _corners(values, scheme)
+    inverses = guarded_inv3(corners[..., :2, :, :], where=_CORNERS)
+    return inverses[..., 0, :, :] @ corners[..., 2, :, :] @ inverses[..., 1, :, :] @ corners[..., 3, :, :]
 
 
 @dataclass(frozen=True)
@@ -130,20 +154,19 @@ def delta_statistics(samples):
         raise ShapeError(f"statistics need a stack of 6x6 or 4x4 matrices, got shape {samples.shape}")
     if len(samples) < 2:
         raise ShapeError(f"need at least 2 repetitions for statistics, got {len(samples)}")
-    stack = partial_determinant(samples) - np.eye(3)
-    mean = stack.mean(axis=0)
-    std = stack.std(axis=0, ddof=1)
-    # "zero" spread/mean below the exact-algebra floor, so roundoff dust
-    # from identical samples cannot masquerade as significance
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zero_std = std <= 1e-12
-        significance = np.where(
-            zero_std,
-            np.where(np.abs(mean) > 1e-12, np.inf, 0.0),
-            np.abs(mean) / np.where(zero_std, 1.0, std),
-        )
     scheme = Scheme.of_shape(samples.shape)
-    return DeltaStats(mean=mean, std=std, significance=significance, repetitions=len(samples), scheme=scheme)
+    n = len(samples)
+    stack = _partial_determinant(samples, scheme) - _EYE3
+    # numpy's own two-pass mean and (N-1) standard deviation, bit for bit
+    mean = stack.sum(axis=0) / n
+    dev = stack - mean
+    std = np.sqrt((dev * dev).sum(axis=0) / (n - 1))
+    # "zero" spread/mean below the exact-algebra floor, so roundoff dust
+    # from identical samples cannot masquerade as significance; the
+    # division runs only where the spread is not zero
+    abs_mean = np.abs(mean)
+    significance = np.divide(abs_mean, std, out=np.where(abs_mean > 1e-12, np.inf, 0.0), where=~(std <= 1e-12))
+    return DeltaStats(mean=mean, std=std, significance=significance, repetitions=n, scheme=scheme)
 
 
 @dataclass(frozen=True)

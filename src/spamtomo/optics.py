@@ -19,16 +19,20 @@ pi/2.  This gives:
   ``sigma_3`` is pulled back through the plates).
 
 With these conventions the first default setting analyses H/V, the second
-the circular basis, and the third the diagonal basis.
+the circular basis, and the third the diagonal basis.  The two sides differ
+only in the start vector and the quarter-wave plate's sign, so all M
+preparations and N settings of a block of repetitions rotate in one pass
+over ``(..., M + N)`` plate arrays.
 
 Noise has two independent, configurable knobs: binomial counting noise
 from a finite photon budget per setting, and Gaussian wave-plate angle
 jitter redrawn once per plate per repetition (slow drift between
-sequential runs).  A run draws them from two streams spawned from its
-seed, one for jitter and one for counts, each read in repetition order,
-so samples do not depend on how repetitions are grouped into blocks, a
-run's first k repetitions equal a k-repetition run, and every run is
-reproducible bit for bit.
+sequential runs).  A run draws them from two streams, one for jitter and
+one for counts: the two children ``SeedSequence(seed).spawn(2)`` would
+give, built directly.  Each is read in repetition order, so samples do
+not depend on how repetitions are grouped into blocks, a run's first k
+repetitions equal a k-repetition run, and every run is reproducible bit
+for bit.
 """
 
 import enum
@@ -100,8 +104,9 @@ class SourceKind(str, enum.Enum):
     MIXED = "mixed"
 
 
-# Stokes vector the source emits: pure horizontal, or a 3:1 H/V mixture.
-_SOURCE_STOKES = {SourceKind.PURE_H: (0.0, 0.0, 1.0), SourceKind.MIXED: (0.0, 0.0, 0.5)}
+# The z component of the Stokes vector the source emits, whose x and y
+# are 0: pure horizontal, or a 3:1 H/V mixture.
+_SOURCE_Z = {SourceKind.PURE_H: 1.0, SourceKind.MIXED: 0.5}
 
 # The splitter's observable: its transmitted (horizontal) port is +1.
 _Z = (0.0, 0.0, 1.0)
@@ -157,7 +162,8 @@ def _dot(u, v):
 def _half_wave(theta, v):
     """Stokes vector ``v`` after a half-wave plate at ``theta``: a rotation
     by pi about ``n``, ``v -> 2(n.v)n - v``."""
-    a, b = np.sin(2 * theta), np.cos(2 * theta)
+    t = 2 * theta
+    a, b = np.sin(t), np.cos(t)
     x, y, z = v
     d = 2.0 * (a * x + b * z)
     return d * a - x, -y, d * b - z
@@ -168,23 +174,35 @@ def _quarter_wave(theta, v, sign):
     rotation by pi/2 about ``n``, ``v -> (n.v)n + sign n x v``.  ``sign`` is
     +1 for a state passing the plate and -1 for an observable pulled back
     through it (``U^dag sigma U`` undoes the state's rotation)."""
-    a, b = np.sin(2 * theta), np.cos(2 * theta)
+    t = 2 * theta
+    a, b = np.sin(t), np.cos(t)
     x, y, z = v
     d = a * x + b * z
     return d * a - sign * b * y, sign * (b * x - a * z), d * b + sign * a * y
 
 
-def _prep_stokes(source, qwp_angles, hwp_angles):
-    """Stokes components of the source state steered by each plate pair:
-    the half-wave plate first, then the quarter-wave plate."""
-    return _quarter_wave(qwp_angles, _half_wave(hwp_angles, _SOURCE_STOKES[source]), 1.0)
+# (source, scheme) -> the start ``z`` and the quarter-wave sign of each of
+# the M + N columns that ``_rotate`` takes (M = N, the scheme's settings).
+_SIDES = {
+    (source, scheme): (
+        np.array([_SOURCE_Z[source]] * scheme.n_settings + [_Z[2]] * scheme.n_settings),
+        np.array([1.0] * scheme.n_settings + [-1.0] * scheme.n_settings),
+    )
+    for source in SourceKind
+    for scheme in Scheme
+}
 
 
-def _meas_vectors(qwp_angles, hwp_angles):
-    """Observable components of the analyser at each plate pair: the
-    splitter's ``z`` pulled back through the half-wave plate, then the
-    quarter-wave plate."""
-    return _quarter_wave(qwp_angles, _half_wave(hwp_angles, _Z), -1.0)
+def _rotate(plan, qwp, hwp):
+    """Stokes components of all M preparations and N settings at once:
+    ``qwp`` and ``hwp`` hold the plate angles of the M preparations, then
+    of the N settings, on their last axis.  A preparation steers the
+    source's state through the half-wave plate and then the quarter-wave
+    plate; a setting pulls the splitter's ``z`` back through the same two
+    plates.  Only the start ``z`` and the quarter-wave plate's sign differ
+    between the two sides, so they are per-column constants."""
+    z, sign = _SIDES[plan.source, plan.scheme]
+    return _quarter_wave(qwp, _half_wave(hwp, (0.0, 0.0, z)), sign)
 
 
 @dataclass(frozen=True)
@@ -308,37 +326,47 @@ def _plate_angles(settings):
     )
 
 
-def _expectation_matrix(plan, prep_q, prep_h, meas_q, meas_h):
+def _expectation_matrix(plan, qwp, hwp):
     """Noiseless matrix at the given plate angles, with the plan's
     injected errors applied to their (preparation, setting) elements.
-    Leading axes of the angle arrays (one per repetition) broadcast: angles
-    of shape ``(..., M)`` and ``(..., N)`` give an ``(..., M, N)`` array."""
-    p_rows = _prep_stokes(plan.source, prep_q, prep_h)
-    w_cols = _meas_vectors(meas_q, meas_h)
-    values = _dot([c[..., :, None] for c in p_rows], [c[..., None, :] for c in w_cols])
+    ``qwp`` and ``hwp`` hold the angles of the M preparations, then of the
+    N settings, on their last axis; leading axes (one per repetition)
+    broadcast, so ``(..., M + N)`` angles give an ``(..., M, N)`` array."""
+    m = len(plan.prep_settings)
+    v = _rotate(plan, qwp, hwp)
+    values = _dot([c[..., :m, None] for c in v], [c[..., None, m:] for c in v])
     for err in plan.errors:
-        a, i = err.prep_index - 1, err.setting_index - 1
-        w = _meas_vectors(meas_q[..., i], meas_h[..., i] + _injection_offset(plan, a + 1, i + 1))
-        values[..., a, i] = _dot([c[..., a] for c in p_rows], w)
+        a, i = err.prep_index - 1, m + err.setting_index - 1
+        offset = _injection_offset(plan, err.prep_index, err.setting_index)
+        w = _quarter_wave(qwp[..., i], _half_wave(hwp[..., i] + offset, _Z), -1.0)
+        values[..., a, i - m] = _dot([c[..., a] for c in v], w)
     return values
+
+
+def _nominal_angles(plan):
+    """Quarter- and half-wave angles of the plan's preparations, then its
+    settings."""
+    return _plate_angles(plan.prep_settings + plan.meas_settings)
 
 
 def true_expectation_matrix(plan):
     """The full noiseless expectation matrix of a plan, injections applied."""
-    return _expectation_matrix(plan, *_plate_angles(plan.prep_settings), *_plate_angles(plan.meas_settings))
+    return _expectation_matrix(plan, *_nominal_angles(plan))
 
 
 def theoretical_states(plan):
     """Stokes vectors predicted from the nominal plan angles (no noise, no
     injections), as the rows of an Mx3 array; the references against which
     reconstructions score."""
-    return np.array(_prep_stokes(plan.source, *_plate_angles(plan.prep_settings))).T
+    m = len(plan.prep_settings)
+    return np.array([c[:m] for c in _rotate(plan, *_nominal_angles(plan))]).T
 
 
 def theoretical_observables(plan):
     """Observable vectors predicted from the nominal plan angles, as the
     columns of a 3xN array."""
-    return np.array(_meas_vectors(*_plate_angles(plan.meas_settings)))
+    m = len(plan.prep_settings)
+    return np.array([c[m:] for c in _rotate(plan, *_nominal_angles(plan))])
 
 
 # Repetitions simulated together.  A block's jitter draws and intermediate
@@ -363,32 +391,31 @@ def run_experiment(plan):
     10 000 shots, ``repr`` thus writes every sample with at most four
     decimals.  Analytic runs (``N`` is None) keep the noiseless values.
 
-    ``SeedSequence(seed).spawn(2)`` gives a jitter stream and a counts
-    stream.  Repetition k takes draws ``k*2(M+N)`` onwards of the jitter
-    stream: preparation plates in order, quarter before half, then
-    measurement plates.  Its counts follow all earlier repetitions' counts
-    on the counts stream, in row-major element order.
+    The jitter and counts streams are the two children
+    ``SeedSequence(seed).spawn(2)`` would give, built directly as
+    ``SeedSequence(seed, spawn_key=(k,))`` for k = 0, 1.  Repetition k
+    takes draws ``k*2(M+N)`` onwards of the jitter stream: preparation
+    plates in order, quarter before half, then measurement plates.  Its
+    even draws thus perturb the M + N quarter-wave plates and its odd
+    draws the half-wave plates, and both sides rotate in one pass.  Its
+    counts follow all earlier repetitions' counts on the counts stream, in
+    row-major element order.
     """
     m, n = len(plan.prep_settings), len(plan.meas_settings)
-    prep_q, prep_h = _plate_angles(plan.prep_settings)
-    meas_q, meas_h = _plate_angles(plan.meas_settings)
+    qwp, hwp = _nominal_angles(plan)
     shots = plan.noise.shots_per_setting
     try:
         samples = np.empty((plan.repetitions, m, n))
     except (MemoryError, ValueError):  # ValueError: beyond numpy's largest dimension
         raise ConfigError(f"repetitions={plan.repetitions} is too large to hold in memory", field="repetitions") from None
-    streams = np.random.SeedSequence(plan.noise.seed).spawn(2)
-    jitter, counts = (np.random.Generator(np.random.PCG64(s)) for s in streams)
+    jitter, counts = (
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(plan.noise.seed, spawn_key=(k,))))
+        for k in range(2)
+    )
     for start in range(0, plan.repetitions, BLOCK_REPETITIONS):
         block = samples[start : start + BLOCK_REPETITIONS]
         eps = jitter.standard_normal((len(block), 2 * (m + n))) * plan.noise.angle_jitter_sigma
-        block[...] = _expectation_matrix(
-            plan,
-            prep_q + eps[:, 0 : 2 * m : 2],
-            prep_h + eps[:, 1 : 2 * m : 2],
-            meas_q + eps[:, 2 * m :: 2],
-            meas_h + eps[:, 2 * m + 1 :: 2],
-        )
+        block[...] = _expectation_matrix(plan, qwp + eps[:, 0::2], hwp + eps[:, 1::2])
         if shots is not None:
             # probabilities, then counts, in the block's own buffer
             np.clip((1.0 + block) / 2.0, 0.0, 1.0, out=block)

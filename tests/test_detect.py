@@ -183,6 +183,23 @@ class TestPartialDeterminant:
         with pytest.raises(SingularMatrixError, match="lower-right"):
             partial_determinant(s)
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_singular_corner_named_beyond_the_first_block(self, scheme):
+        # the adjugate gathers its matrices in blocks; the first failing
+        # sample is still named across them
+        stack = np.array([paper_angle_matrix(scheme)] * 2000)
+        upper = scheme.embed_index[:3]
+        zeroed = stack.copy()
+        zeroed[1499][np.ix_(upper, upper)] = 0.0
+        with pytest.raises(SingularMatrixError, match=r"^sample 1500: near-singular upper-left corner: \|det\| = ") as info:
+            partial_determinant(zeroed)
+        assert info.value.where == "upper-left corner"
+        poisoned = stack.copy()
+        poisoned[1998, 3, 3] = np.nan  # in the lower-right corner only, in both schemes
+        with pytest.raises(SingularMatrixError, match=r"^sample 1999: near-singular lower-right corner: ") as info:
+            delta_statistics(poisoned)
+        assert info.value.where == "lower-right corner"
+
     def test_sensitivity_everywhere(self):
         # a 0.05 shift of any single element shows up above 1e-4
         base = paper_angle_matrix()

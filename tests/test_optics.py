@@ -262,7 +262,7 @@ def reference_repetition(plan, rep):
             for k in range(len(quarter)):
                 quarter[k] += jitter.standard_normal() * sigma
                 half[k] += jitter.standard_normal() * sigma
-        values = _expectation_matrix(plan, *angles)
+        values = _expectation_matrix(plan, np.concatenate(angles[0::2]), np.concatenate(angles[1::2]))
         if shots is not None:
             p = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
             counted = np.array([[counts.binomial(shots, p_ai) for p_ai in row] for row in p], dtype=float)

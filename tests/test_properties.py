@@ -1,5 +1,6 @@
 """Property tests: the consistency identity and its symmetries on random
-stacks, the loop residual as the closure mismatch, the loop's states and
+stacks, the statistics of Delta against numpy's mean and standard
+deviation, the loop residual as the closure mismatch, the loop's states and
 observables against the corners they invert, the plates' Stokes
 rotations against their Jones matrices, the vector scores against their
 matrix forms, the measurement-file loader on random and fuzzed input and
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
@@ -131,6 +132,54 @@ class TestProperties:
             for r, c, _ in detect(delta_statistics(permuted)).flagged_elements
         }
         assert moved == flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(list(Scheme)),
+    factorized=st.booleans(),
+    shift=st.sampled_from([0.0, 0.3]),
+    varied=st.sets(st.integers(0, 2)),
+    spread=st.sampled_from([0.0, 1e-9, 0.05]),
+    reps=st.sampled_from([2, 3, 10, 37, 300]),
+)
+# both sentinels (inf in Delta's first column, 0 elsewhere), with and
+# without real spread in one column beside them
+@example(seed=1, scheme=Scheme.TWO_N, factorized=True, shift=0.3, varied={1}, spread=0.05, reps=10)
+@example(seed=2, scheme=Scheme.N_PLUS_ONE, factorized=True, shift=0.3, varied=set(), spread=0.0, reps=3)
+def test_delta_statistics_bytes_equal_numpy(seed, scheme, factorized, shift, varied, spread, reps):
+    # mean, (N-1) std and significance byte-equal to np.mean, np.std and
+    # the sentinel formula written out with np.where.  With six settings,
+    # varying only some columns of the lower-left corner C leaves the other
+    # columns of Delta exactly constant, and an upper-left shift of a
+    # factorized matrix moves only Delta's first column (up to roundoff):
+    # zero spread beside real spread, and both sentinels (inf and 0) in one
+    # stack.
+    rng = np.random.default_rng(seed)
+    n = scheme.n_settings
+    base = sample_stokes_ball(rng, n) @ sample_stokes_ball(rng, n).T if factorized else rng.uniform(-1, 1, (n, n))
+    base[0, 0] += shift
+    samples = np.array([base] * reps)
+    for c in sorted(varied):
+        samples[:, 3:, c] += spread * rng.standard_normal((reps, n - 3))
+    try:
+        stack = partial_determinant(samples) - np.eye(3)
+    except SingularMatrixError:
+        assume(False)
+    mean = np.mean(stack, axis=0)
+    std = np.std(stack, axis=0, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zero_std = std <= 1e-12
+        significance = np.where(
+            zero_std,
+            np.where(np.abs(mean) > 1e-12, np.inf, 0.0),
+            np.abs(mean) / np.where(zero_std, 1.0, std),
+        )
+    stats = delta_statistics(samples)
+    assert stats.mean.tobytes() == mean.tobytes()
+    assert stats.std.tobytes() == std.tobytes()
+    assert stats.significance.tobytes() == significance.tobytes()
 
 
 def noisy_stack(rng, count, noise=0.05):
