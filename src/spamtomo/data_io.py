@@ -31,7 +31,7 @@ from .errors import DataFormatError, ShapeError, SpamTomoError
 from .optics import Scheme
 
 MEASUREMENTS_SCHEMA = "spamtomo-measurements v1"
-REPORT_SCHEMA = "spamtomo-report v6"
+REPORT_SCHEMA = "spamtomo-report v7"
 PLOTGRID_SCHEMA = "spamtomo-plotgrid v1"
 
 

@@ -22,6 +22,7 @@ settings 2 and 3.  The corner gather, the partial determinant and its
 statistics all work on a whole ``(repetitions, n, n)`` stack at once.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,7 +148,8 @@ def delta_statistics(samples):
     element is exactly zero its significance is the infinity sentinel if
     the mean deviation is real (beyond the 1e-12 exact-algebra floor) and
     zero otherwise.  A singular corner in any sample aborts the analysis
-    with the sample index attached.
+    with the sample index attached, and so does a NaN or infinite entry
+    (a :class:`ShapeError` naming the sample and the entry).
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3:
@@ -156,9 +158,14 @@ def delta_statistics(samples):
         raise ShapeError(f"need at least 2 repetitions for statistics, got {len(samples)}")
     scheme = Scheme.of_shape(samples.shape)
     n = len(samples)
-    stack = _partial_determinant(samples, scheme) - _EYE3
-    # numpy's own two-pass mean and (N-1) standard deviation, bit for bit
-    mean = stack.sum(axis=0) / n
+    # a NaN or inf in B or C passes the guard on A and D, and reaches the
+    # mean; it is named there rather than sought in every sample
+    with np.errstate(invalid="ignore"):
+        stack = _partial_determinant(samples, scheme) - _EYE3
+        # numpy's own two-pass mean and (N-1) standard deviation, bit for bit
+        mean = stack.sum(axis=0) / n
+    if not math.isfinite(sum(mean.ravel().tolist())):  # NaN or inf in the mean
+        validate_expectation_matrix(samples)
     dev = stack - mean
     std = np.sqrt((dev * dev).sum(axis=0) / (n - 1))
     # "zero" spread/mean below the exact-algebra floor, so roundoff dust

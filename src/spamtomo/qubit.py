@@ -86,9 +86,11 @@ def _norms_squared(v):
 
 def _score_pair(s, t, what):
     """Two equally shaped ``(..., 3)`` float arrays of vectors inside the
-    unit ball (up to ``ATOL_INPUT``), and their squared norms."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
+    unit ball (up to ``ATOL_INPUT``), and their squared norms.  Both are
+    C-ordered copies when needed, so that ``einsum`` sums in one order and
+    a score does not depend on its inputs' memory layout."""
+    s = np.ascontiguousarray(s, dtype=float)
+    t = np.ascontiguousarray(t, dtype=float)
     if s.shape != t.shape or s.shape[-1:] != (3,):
         raise ShapeError(f"{what} needs two equally shaped (..., 3) arrays, got shapes {s.shape} and {t.shape}")
     squares = []

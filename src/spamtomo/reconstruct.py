@@ -40,9 +40,10 @@ def _clip_to_ball(vectors):
 
 @dataclass(frozen=True)
 class LoopResult:
-    """Everything the loop recovers: six Stokes rows, six observable
-    columns (the first three echo the known inputs), rescaling flags, and
-    the self-consistency residual from the unused lower-left corner."""
+    """Everything the loop determines for an n x n matrix: n Stokes rows
+    (preparations 1..n), n observable columns (settings 1..n; the first
+    three echo the known inputs), rescaling flags, and the
+    self-consistency residual from the unused lower-left corner."""
 
     prep_stokes: np.ndarray
     obs_vectors: np.ndarray
@@ -58,12 +59,12 @@ def loop_bootstrap(values, known_w):
     ``known_w`` holds the observable columns ``W1`` of settings 1-3.  One
     guarded 3x3 inversion of ``W1``, A and B, checked in that order,
     gives the loop in closed form: the states ``P = [A; D B^-1 A] W1^-1``
-    and the observables of settings 4-6 ``W2 = W1 A^-1 B``.  The residual
-    is the largest element-wise mismatch between C and the loop's
-    ``D B^-1 A``, so it does not depend on ``W1``.  Rescaling onto the
-    unit sphere happens only once every vector is recovered.  For four
-    settings, rows 5-6 of the states and columns 5-6 of the observables
-    recover preparations and settings 2-3 a second time.
+    and the observables ``[W1, W1 A^-1 B]``.  A's triple is (1, 2, 3) and
+    D's starts with 4, so the first n rows and columns of these are
+    preparations and settings 1..n, in order; the loop returns those.
+    The residual is the largest element-wise mismatch between C and the
+    loop's ``D B^-1 A``, so it does not depend on ``W1``.  Rescaling onto
+    the unit sphere happens only once every vector is recovered.
     """
     if np.ndim(values) != 2:
         raise ShapeError(f"loop expects one 6x6 or 4x4 matrix, got shape {np.shape(values)}")
@@ -74,8 +75,9 @@ def loop_bootstrap(values, known_w):
 
     w1_inv, a_inv, b_inv = guarded_inv3(np.stack([known_w, a, b]), where=_BLOCKS)
     c_loop = d @ b_inv @ a
-    prep, prep_flags = _clip_to_ball(np.vstack([a, c_loop]) @ w1_inv)
-    obs_t, obs_flags = _clip_to_ball(np.hstack([known_w, known_w @ a_inv @ b]).T)
+    n = len(values)
+    prep, prep_flags = _clip_to_ball((np.vstack([a, c_loop]) @ w1_inv)[:n])
+    obs_t, obs_flags = _clip_to_ball(np.hstack([known_w, known_w @ a_inv @ b])[:, :n].T)
     return LoopResult(
         prep_stokes=prep,
         obs_vectors=obs_t.T,

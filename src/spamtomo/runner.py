@@ -43,18 +43,6 @@ EXIT_ERROR = 1
 EXIT_DETECTED = 2
 
 
-def _scored_operators(scheme):
-    """Loop rows and columns scored against the plan.
-
-    Rows: the first row of each distinct preparation in the loop's states.
-    Columns: the three observables the loop reconstructs (columns 1-3
-    echo the known inputs).  ``scheme.embed_index`` maps both to the
-    0-based preparation and setting they hold.
-    """
-    index = scheme.embed_index
-    return [r for r, p in enumerate(index) if p not in index[:r]], [3, 4, 5]
-
-
 @dataclass
 class RunReport:
     """Everything a run produced, ready for serialization.  ``samples`` is
@@ -105,16 +93,15 @@ class RunReport:
                 "note": self.detection.note,
             }
         if self.reconstruction is not None:
-            index = plan.scheme.embed_index
-            rows, cols = _scored_operators(plan.scheme)
+            n = len(self.reconstruction.prep_stokes)
             report["reconstruction"] = {
                 "prep_stokes": self.reconstruction.prep_stokes,
                 "obs_vectors": self.reconstruction.obs_vectors,
                 "prep_renormalized": self.reconstruction.prep_renormalized.tolist(),
                 "obs_renormalized": self.reconstruction.obs_renormalized.tolist(),
                 "consistency_residual": self.reconstruction.consistency_residual,
-                "scored_states": [index[r] + 1 for r in rows],
-                "scored_povms": [index[c] + 1 for c in cols],
+                "scored_states": list(range(1, n + 1)),
+                "scored_povms": list(range(4, n + 1)),
             }
         if self.scores is not None:
             report["scores"] = {
@@ -153,14 +140,14 @@ def _known_observables(config, true_obs):
 def _reconstruct_and_score(config, plan, samples):
     true_obs = theoretical_observables(plan)
     loop = loop_bootstrap(np.mean(samples, axis=0), _known_observables(config, true_obs))
-    index = plan.scheme.embed_index
-    rows, cols = _scored_operators(plan.scheme)
+    # the loop's rows are preparations 1..n; its columns 4..n are the
+    # settings it reconstructs (1-3 echo the known inputs)
     scores = score_reconstruction(
-        loop.prep_stokes[rows],
-        theoretical_states(plan)[[index[r] for r in rows]],
-        loop.obs_vectors[:, cols].T,
-        true_obs[:, [index[c] for c in cols]].T,
-        np.concatenate([loop.prep_renormalized[rows], loop.obs_renormalized[cols]]),
+        loop.prep_stokes,
+        theoretical_states(plan),
+        loop.obs_vectors[:, 3:].T,
+        true_obs[:, 3:].T,
+        np.concatenate([loop.prep_renormalized, loop.obs_renormalized[3:]]),
     )
     return loop, scores
 

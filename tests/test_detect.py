@@ -259,6 +259,30 @@ class TestDeltaStatistics:
             assert str(excinfo.value).startswith(message + ": |det| = ")
             assert excinfo.value.where == where
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "scheme, corner, entry",
+        [
+            (Scheme.TWO_N, "B", (0, 4)),
+            (Scheme.TWO_N, "C", (4, 0)),
+            (Scheme.N_PLUS_ONE, "B", (0, 3)),
+            (Scheme.N_PLUS_ONE, "C", (3, 0)),
+        ],
+    )
+    def test_non_finite_entry_outside_the_inverted_corners_is_named(self, scheme, corner, entry, bad):
+        # A and D are guarded by their inversion; a NaN or inf in B or C
+        # would turn every significance into NaN, which no threshold flags
+        samples = run_experiment(
+            ExperimentPlan(scheme=scheme, errors=(ErrorInjection(1, 1, np.pi / 4),), noise=NoiseModel(seed=3))
+        )
+        assert detect(delta_statistics(samples)).detected
+        first, second = scheme.embed_index[:3], scheme.embed_index[3:]
+        rows, cols = (first, second) if corner == "B" else (second, first)
+        assert entry[0] in rows and entry[1] in cols
+        samples[4][entry] = bad
+        with pytest.raises(ShapeError, match=rf"^sample 5: entry \({entry[0] + 1}, {entry[1] + 1}\) = {bad}"):
+            delta_statistics(samples)
+
     def test_rejects_a_single_matrix(self, rng):
         with pytest.raises(ShapeError):
             delta_statistics(consistent_matrix(rng))

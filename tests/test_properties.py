@@ -3,10 +3,10 @@ stacks, the statistics of Delta against numpy's mean and standard
 deviation, the loop residual as the closure mismatch, the loop's states and
 observables against the corners they invert, the plates' Stokes
 rotations against their Jones matrices, the vector scores against their
-matrix forms, the measurement-file loader on random and fuzzed input and
-against a line scan of every file, fuzzed configs, the simulator's
-samples against the run length and block size and as count fractions,
-and the report writer against json.dumps."""
+matrix forms and across memory layouts, the measurement-file loader on
+random and fuzzed input and against a line scan of every file, fuzzed
+configs, the simulator's samples against the run length and block size
+and as count fractions, and the report writer against json.dumps."""
 
 import json
 import math
@@ -421,6 +421,28 @@ def test_vector_scores_match_matrix_oracle(pairs):
         assert errors[k] == pytest.approx(oracle, abs=1e-12)
 
 
+def _strided(v):
+    """``v`` as a view whose rows and components are both strided."""
+    spread = np.zeros((2 * len(v), 6))
+    spread[::2, ::2] = v
+    return spread[::2, ::2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), rows=st.integers(1, 8))
+def test_vector_scores_do_not_depend_on_memory_layout(seed, rows):
+    # C-ordered, Fortran-ordered and strided copies of the same vectors
+    # score bit for bit alike, however the caller sliced them
+    rng = np.random.default_rng(seed)
+    s, t = sample_stokes_ball(rng, rows), sample_stokes_ball(rng, rows)
+    layouts = (np.ascontiguousarray, np.asfortranarray, _strided)
+    for score in (fidelity, relative_error):
+        expected = score(s, t).tobytes()
+        for first in layouts:
+            for second in layouts:
+                assert score(first(s), second(t)).tobytes() == expected, (score.__name__, first, second)
+
+
 @settings(max_examples=200, deadline=None)
 @given(raw=st.dictionaries(st.sampled_from(sorted(_KNOWN_KEYS)), VALUES, max_size=8))
 def test_fuzzed_configs_validate_or_are_rejected(raw):
@@ -607,6 +629,25 @@ def _arrays_or_error(f, *args):
     return [np.asarray(v).tobytes() for v in vars(result).values() if isinstance(v, np.ndarray | float)]
 
 
+def _loop_arrays_or_error(mean, known, keep=None, shape=None):
+    """The loop's arrays on ``mean`` cut to the first ``keep`` rows and
+    columns, or its singular-block message; its states must have
+    ``shape`` when given."""
+    try:
+        result = loop_bootstrap(mean, known)
+    except SingularMatrixError as exc:
+        return str(exc)
+    if shape is not None:
+        assert result.prep_stokes.shape == result.obs_vectors.T.shape == shape
+    return [
+        result.prep_stokes[:keep].tobytes(),
+        result.obs_vectors[:, :keep].tobytes(),
+        result.prep_renormalized[:keep].tobytes(),
+        result.obs_renormalized[:keep].tobytes(),
+        np.float64(result.consistency_residual).tobytes(),
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
@@ -619,8 +660,8 @@ def _arrays_or_error(f, *args):
     reps=st.sampled_from([2, 10, 37, 300]),
 )
 def test_compact_record_analyses_as_its_embedding(seed, source, jitter, injections, reps):
-    # the statistics and the loop embed a 4x4 record themselves, bit for
-    # bit as if the caller had embedded it
+    # the statistics read a 4x4 record bit for bit as its 6x6 embedding,
+    # and the loop returns the first 4 rows and columns of the embedding's
     plan = ExperimentPlan(
         source=source,
         scheme=Scheme.N_PLUS_ONE,
@@ -632,8 +673,8 @@ def test_compact_record_analyses_as_its_embedding(seed, source, jitter, injectio
     embedded = oracle_six_by_six(compact, Scheme.N_PLUS_ONE)
     assert _arrays_or_error(delta_statistics, compact) == _arrays_or_error(delta_statistics, embedded)
     known = theoretical_observables(plan)[:, :3]
-    assert _arrays_or_error(loop_bootstrap, compact.mean(axis=0), known) == _arrays_or_error(
-        loop_bootstrap, embedded.mean(axis=0), known
+    assert _loop_arrays_or_error(compact.mean(axis=0), known, shape=(4, 3)) == _loop_arrays_or_error(
+        embedded.mean(axis=0), known, keep=4
     )
 
 
@@ -677,7 +718,8 @@ def test_loop_residual_is_the_closure_mismatch(seed, scheme, source, noise, inje
 def test_loop_reproduces_the_corners_it_inverts(seed, scheme, noise):
     # the loop's definition, in no particular order of inversion: states
     # P1 and observables W2 reproduce A and B, states P2 reproduce D, and
-    # the residual is C against P2 W1
+    # the residual is C against P2 W1; P1 and P2 (W1 and W2) are the loop's
+    # rows (columns) by the corner triples, (4, 2, 3) for P2 with n+1
     rng = np.random.default_rng(seed)
     n = scheme.n_settings
     p, w = 0.9 * sample_stokes_ball(rng, n), 0.9 * sample_stokes_ball(rng, n).T
@@ -687,8 +729,9 @@ def test_loop_reproduces_the_corners_it_inverts(seed, scheme, noise):
     result = loop_bootstrap(s, w[:, :3])
     assert not result.prep_renormalized.any()
     assert not result.obs_renormalized.any()
-    p1, p2 = result.prep_stokes[:3], result.prep_stokes[3:]
-    w2 = result.obs_vectors[:, 3:]
+    first, second = list(CORNER_TRIPLES[scheme][:3]), list(CORNER_TRIPLES[scheme][3:])
+    p1, p2 = result.prep_stokes[first], result.prep_stokes[second]
+    w2 = result.obs_vectors[:, second]
     tolerance = 1e-10 * np.abs(s).max()
     assert np.abs(p1 @ w[:, :3] - a).max() <= tolerance
     assert np.abs(p1 @ w2 - b).max() <= tolerance

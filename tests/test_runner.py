@@ -21,6 +21,7 @@ from spamtomo import (
     load_measurements,
     run,
     save_measurements,
+    theoretical_observables,
     write_outputs,
 )
 from spamtomo.cli import main
@@ -83,8 +84,33 @@ class TestRun:
         report = run(null_config(scheme=Scheme.N_PLUS_ONE))
         assert report.samples[0].shape == (4, 4)
         assert report.exit_code == EXIT_CLEAN
-        # scored operators: 4 states + 3 distinct reconstructed settings
-        assert len(report.scores.fidelities) == 7
+        # scored operators: 4 states + setting 4, the one the loop reconstructs
+        assert len(report.scores.fidelities) == 5
+        assert len(report.scores.relative_errors) == 1
+
+    def test_compact_loop_returns_each_operator_once(self):
+        # four states and four settings, none a rounding copy of another
+        for source in ("pure_h", "mixed"):
+            for seed in range(8):
+                report = run(config_from_dict({"mode": "reconstruct", "scheme": "n+1", "state": source, "seed": seed}))
+                reconstruction = report.to_dict()["reconstruction"]
+                assert reconstruction["scored_states"] == [1, 2, 3, 4]
+                assert reconstruction["scored_povms"] == [4]
+                for vectors in (report.reconstruction.prep_stokes, report.reconstruction.obs_vectors.T):
+                    assert vectors.shape == (4, 3)
+                    gaps = np.abs(vectors[:, None] - vectors[None]).max(axis=-1)
+                    assert gaps[~np.eye(4, dtype=bool)].min() > 1e-6, (source, seed)
+
+    def test_compact_scores_only_the_setting_it_reconstructs(self):
+        # known observables off the nominal ones are the run's own input:
+        # only setting 4, which the loop infers from them, is scored
+        plan = null_config(scheme=Scheme.N_PLUS_ONE).experiment
+        known = 0.9 * theoretical_observables(plan)[:, :3].T
+        report = run(null_config(mode="reconstruct", scheme=Scheme.N_PLUS_ONE, known_povms=tuple(map(tuple, known))))
+        assert len(report.scores.relative_errors) == 1
+        assert len(report.scores.fidelities) == 5
+        assert report.to_dict()["reconstruction"]["scored_povms"] == [4]
+        np.testing.assert_array_equal(report.reconstruction.obs_vectors[:, :3], known.T)
 
     def test_analyze_external_data(self, tmp_path):
         sim = run(null_config(mode="simulate"))
@@ -116,7 +142,7 @@ class TestOutputs:
         for kind in ("report", "measurements", "plot_grids", "timing"):
             assert os.path.exists(paths[kind]), kind
         payload = json.loads(Path(paths["report"]).read_text())
-        assert payload["schema"] == "spamtomo-report v6"
+        assert payload["schema"] == "spamtomo-report v7"
         assert payload["exit_code"] == EXIT_CLEAN
         assert payload["detection"]["detected"] is False
         assert payload["samples"] == {"repetitions": 10, "size": 6, "sha256": record_name(report.samples)["sha256"]}
@@ -166,7 +192,7 @@ class TestOutputs:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         payload = json.loads(Path(paths["report"]).read_text(), parse_constant=reject)
-        assert payload["schema"] == "spamtomo-report v6"
+        assert payload["schema"] == "spamtomo-report v7"
         assert "inf" in [v for row in payload["delta_stats"]["significance"] for v in row]
         emit_plot_data(payload, str(tmp_path / "again.csv"))
         assert (tmp_path / "again.csv").read_text() == Path(paths["plot_grids"]).read_text()
