@@ -44,12 +44,11 @@ def save_measurements(path, stack, scheme):
     n = scheme.n_settings
     if stack.ndim != 3 or stack.shape[1:] != (n, n):
         raise ShapeError(f"a scheme {scheme.value} record holds (repetitions, {n}, {n}) stacks, got shape {stack.shape}")
-    lines = [f"# {MEASUREMENTS_SCHEMA} scheme={scheme.value} blocks={len(stack)}"]
-    for matrix in stack:
-        lines.extend(",".join(map(repr, row)) for row in matrix.tolist())
-        lines.append("")
+    # one matrix's floats at a time, so a long record's extra memory is its text
+    rows = [",".join(map(repr, row)) for matrix in stack for row in matrix.tolist()]
+    rows[n - 1 :: n] = [row + "\n" for row in rows[n - 1 :: n]]  # a blank line ends each block
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
+        handle.write("\n".join([f"# {MEASUREMENTS_SCHEMA} scheme={scheme.value} blocks={len(stack)}", *rows]))
 
 
 def _parse_header(line):
@@ -255,7 +254,6 @@ def emit_plot_data(report, path):
     for name in ("mean", "std", "significance"):
         grid = np.asarray(stats[name], dtype=float)
         lines.append(f"# grid={name}")
-        for row in grid:
-            lines.append(",".join(repr(float(v)) for v in row))
+        lines.extend(",".join(map(repr, row)) for row in grid.tolist())
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -399,7 +399,9 @@ def run_experiment(plan):
     even draws thus perturb the M + N quarter-wave plates and its odd
     draws the half-wave plates, and both sides rotate in one pass.  Its
     counts follow all earlier repetitions' counts on the counts stream, in
-    row-major element order.
+    row-major element order.  At zero jitter there is no jitter stream:
+    the nominal matrix, evaluated once, fills every repetition (nominal
+    angles are stored modulo pi, never -0.0, so draws times 0 add nothing).
     """
     m, n = len(plan.prep_settings), len(plan.meas_settings)
     qwp, hwp = _nominal_angles(plan)
@@ -408,14 +410,19 @@ def run_experiment(plan):
         samples = np.empty((plan.repetitions, m, n))
     except (MemoryError, ValueError):  # ValueError: beyond numpy's largest dimension
         raise ConfigError(f"repetitions={plan.repetitions} is too large to hold in memory", field="repetitions") from None
+    sigma = plan.noise.angle_jitter_sigma
     jitter, counts = (
         np.random.Generator(np.random.PCG64(np.random.SeedSequence(plan.noise.seed, spawn_key=(k,))))
+        if k or sigma else None
         for k in range(2)
     )
+    if not sigma:
+        samples[...] = _expectation_matrix(plan, qwp, hwp)
     for start in range(0, plan.repetitions, BLOCK_REPETITIONS):
         block = samples[start : start + BLOCK_REPETITIONS]
-        eps = jitter.standard_normal((len(block), 2 * (m + n))) * plan.noise.angle_jitter_sigma
-        block[...] = _expectation_matrix(plan, qwp + eps[:, 0::2], hwp + eps[:, 1::2])
+        if sigma:
+            eps = jitter.standard_normal((len(block), 2 * (m + n))) * sigma
+            block[...] = _expectation_matrix(plan, qwp + eps[:, 0::2], hwp + eps[:, 1::2])
         if shots is not None:
             # probabilities, then counts, in the block's own buffer
             np.clip((1.0 + block) / 2.0, 0.0, 1.0, out=block)

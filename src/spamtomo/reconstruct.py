@@ -21,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import guarded_inv3
-from .detect import corner_blocks
+from .detect import corner_blocks, validate_expectation_matrix
 from .errors import ShapeError
-from .qubit import PURITY_ATOL, fidelity, povm_element_fidelity, relative_error
+from .qubit import PURITY_ATOL, fidelity, relative_error
+# Not called here; perfbench/layertrace.py still traces this name.
+from .qubit import povm_element_fidelity  # noqa: F401
 
 _BLOCKS = ("known observables", "upper-left corner", "upper-right corner")
 
@@ -64,7 +66,8 @@ def loop_bootstrap(values, known_w):
     preparations and settings 1..n, in order; the loop returns those.
     The residual is the largest element-wise mismatch between C and the
     loop's ``D B^-1 A``, so it does not depend on ``W1``.  Rescaling onto
-    the unit sphere happens only once every vector is recovered.
+    the unit sphere happens once, over every recovered vector.  A NaN or
+    inf entry, which the guard sees only in W1, A and B, is a ShapeError.
     """
     if np.ndim(values) != 2:
         raise ShapeError(f"loop expects one 6x6 or 4x4 matrix, got shape {np.shape(values)}")
@@ -74,15 +77,17 @@ def loop_bootstrap(values, known_w):
         raise ShapeError(f"known observables must form a 3x3 block, got shape {known_w.shape}")
 
     w1_inv, a_inv, b_inv = guarded_inv3(np.stack([known_w, a, b]), where=_BLOCKS)
+    if not np.isfinite(values).all():  # past the guard, a NaN or inf sits in C or D
+        validate_expectation_matrix(values)
     c_loop = d @ b_inv @ a
     n = len(values)
-    prep, prep_flags = _clip_to_ball((np.vstack([a, c_loop]) @ w1_inv)[:n])
-    obs_t, obs_flags = _clip_to_ball(np.hstack([known_w, known_w @ a_inv @ b])[:, :n].T)
+    prep = (np.vstack([a, c_loop]) @ w1_inv)[:n]
+    vectors, flags = _clip_to_ball(np.vstack([prep, np.hstack([known_w, known_w @ a_inv @ b])[:, :n].T]))
     return LoopResult(
-        prep_stokes=prep,
-        obs_vectors=obs_t.T,
-        prep_renormalized=prep_flags,
-        obs_renormalized=obs_flags,
+        prep_stokes=vectors[:n],
+        obs_vectors=vectors[n:].T,
+        prep_renormalized=flags[:n],
+        obs_renormalized=flags[n:],
         consistency_residual=float(np.abs(c - c_loop).max()),
     )
 
@@ -102,19 +107,19 @@ def score_reconstruction(rec_states, true_states, rec_povms, true_povms, renorma
     """Score reconstructed vectors against their references.
 
     All four inputs are ``(k, 3)`` arrays: Stokes vectors of states and
-    observable vectors of POVM elements, one per row.  States are compared
-    by fidelity; POVM elements both by fidelity (after trace
-    normalization) and by Frobenius relative error on the raw elements.
-    Scores follow the row order, so permuting the inputs permutes the
-    scores identically.  ``renormalized_flags`` holds one rescaling flag
-    per fidelity, states first, and is carried through as booleans.
+    observable vectors of POVM elements, one per row.  One fidelity call
+    scores the states, then the POVM elements after trace normalization
+    (as :func:`povm_element_fidelity`); one more gives the POVM elements'
+    Frobenius relative errors.  Scores follow the row order, so permuting
+    the inputs permutes the scores identically.  ``renormalized_flags``
+    holds one rescaling flag per fidelity, states first, and is carried
+    through as booleans.
     """
-    if any(np.ndim(v) != 2 for v in (rec_states, true_states, rec_povms, true_povms)):
+    if any(np.shape(v)[1:] != (3,) for v in (rec_states, true_states, rec_povms, true_povms)):
         raise ShapeError("scores need (k, 3) arrays of vectors, one per row")
-    fids = np.concatenate([fidelity(rec_states, true_states), povm_element_fidelity(rec_povms, true_povms)])
-    errors = relative_error(rec_povms, true_povms)
+    fids = fidelity(np.concatenate([rec_states, rec_povms]), np.concatenate([true_states, true_povms]))
     return ReconstructionScore(
         fidelities=tuple(fids.tolist()),
-        relative_errors=tuple(errors.tolist()),
+        relative_errors=tuple(relative_error(rec_povms, true_povms).tolist()),
         renormalized_flags=tuple(bool(f) for f in renormalized_flags),
     )

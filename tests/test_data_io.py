@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -137,6 +138,39 @@ class TestMeasurementsRoundTrip:
         monkeypatch.setattr(data_io, "_scanned_stack", no_scan)
         loaded, _ = load_measurements(path)
         assert loaded.tobytes() == blocks.tobytes()
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("repetitions", [1, 2, 257])
+    def test_record_bytes_pinned(self, tmp_path, scheme, repetitions):
+        # the file is the header, then each block's rows at repr precision
+        # with a blank line after every block but the last, written here
+        # line by line; signed zero and a subnormal keep their bits
+        path = tmp_path / "m.csv"
+        values = [-0.0, 5e-324, 1e-05, 1.0, -1.0, 0.0, 0.1234, -0.9999, 1 / 3, -2 / 3, 0.5]
+        stack = np.resize(values, (repetitions, scheme.n_settings, scheme.n_settings))
+        blocks = ["".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix) for matrix in stack]
+        expected = f"# spamtomo-measurements v1 scheme={scheme.value} blocks={repetitions}\n" + "\n".join(blocks)
+        save_measurements(str(path), stack, scheme)
+        assert path.read_bytes() == expected.encode("ascii")
+        loaded, loaded_scheme = load_measurements(str(path))
+        assert loaded_scheme is scheme
+        assert loaded.tobytes() == stack.tobytes()
+
+    def test_saving_holds_one_matrix_of_floats_at_a_time(self, tmp_path):
+        # a long record's peak memory while saving is its text, as rows and
+        # then joined and encoded (about 4.3 times the file for samples of
+        # four decimals); converting the whole stack to Python floats at
+        # once held about 8 times the file
+        path = tmp_path / "m.csv"
+        stack = np.round(np.random.default_rng(5).uniform(-1.0, 1.0, (2000, 6, 6)), 4)
+        save_measurements(str(path), stack, Scheme.TWO_N)  # first-use allocations stay out
+        tracemalloc.start()
+        try:
+            save_measurements(str(path), stack, Scheme.TWO_N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * path.stat().st_size
 
     def test_reanalysis_identical(self, tmp_path):
         # saving at repr precision keeps the statistics bit-identical

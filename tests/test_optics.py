@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -308,6 +309,32 @@ class TestRunExperiment:
         )
         expected = np.array([reference_repetition(plan, rep) for rep in range(plan.repetitions)])
         assert np.array_equal(run_experiment(plan), expected)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("errors", [(), (ErrorInjection(2, 3, np.pi / 20), ErrorInjection(1, 1, np.pi / 4))],
+                             ids=["plain", "injected"])
+    @pytest.mark.parametrize("custom", [False, True], ids=["default-angles", "custom-angles"])
+    def test_zero_jitter_repeats_the_nominal_matrix(self, monkeypatch, scheme, errors, custom):
+        # at zero jitter no draw perturbs a plate: every analytic repetition,
+        # across a block boundary, is the nominal matrix bit for bit, and
+        # counted samples follow the one-draw-at-a-time oracle
+        n = scheme.n_settings
+        settings = tuple(WavePlateSetting(0.3 * k + 0.1, 0.7 * k + 0.2) for k in range(n)) if custom else None
+        plan = ExperimentPlan(
+            scheme=scheme,
+            prep_settings=settings,
+            meas_settings=settings[::-1] if custom else None,
+            errors=errors,
+            noise=NoiseModel(shots_per_setting=None, angle_jitter_sigma=0.0, seed=5),
+            repetitions=optics.BLOCK_REPETITIONS + 1,
+        )
+        nominal = np.tile(true_expectation_matrix(plan), (plan.repetitions, 1, 1))
+        assert run_experiment(plan).tobytes() == nominal.tobytes()
+        counted = dataclasses.replace(plan, noise=NoiseModel(shots_per_setting=500, angle_jitter_sigma=0.0, seed=5),
+                                      repetitions=3)
+        monkeypatch.setattr(optics, "BLOCK_REPETITIONS", 2)
+        expected = np.array([reference_repetition(counted, rep) for rep in range(counted.repetitions)])
+        assert run_experiment(counted).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize(

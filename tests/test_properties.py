@@ -42,6 +42,7 @@ from spamtomo import (  # noqa: E402
     relative_error,
     run_experiment,
     save_measurements,
+    score_reconstruction,
     theoretical_observables,
     theoretical_states,
     write_report,
@@ -49,7 +50,7 @@ from spamtomo import (  # noqa: E402
 from spamtomo import optics  # noqa: E402
 from spamtomo.config import _KNOWN_KEYS  # noqa: E402
 from spamtomo.data_io import _first_malformed, _parse, _parse_header  # noqa: E402
-from spamtomo.qubit import density_from_stokes, povm_from_observable  # noqa: E402
+from spamtomo.qubit import density_from_stokes, povm_element_fidelity, povm_from_observable  # noqa: E402
 from conftest import matrix_fidelity, matrix_relative_error, sample_invertible, sample_stokes_ball  # noqa: E402
 from test_data_io import oracle_jsonify  # noqa: E402
 from test_optics import SOURCE_RHO, jones_observable, jones_state  # noqa: E402
@@ -441,6 +442,21 @@ def test_vector_scores_do_not_depend_on_memory_layout(seed, rows):
         for first in layouts:
             for second in layouts:
                 assert score(first(s), second(t)).tobytes() == expected, (score.__name__, first, second)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), states=st.integers(1, 6), povms=st.sampled_from([1, 3]),
+       layouts=st.lists(st.sampled_from([np.ascontiguousarray, np.asfortranarray, _strided]), min_size=4, max_size=4))
+def test_scores_in_one_pass_equal_separate_calls(seed, states, povms, layouts):
+    # one fidelity call over states and POVMs, then one relative error,
+    # give the bits of a call per score, in any memory layout
+    rng = np.random.default_rng(seed)
+    vectors = [sample_stokes_ball(rng, k) for k in (states, states, povms, povms)]
+    score = score_reconstruction(*(layout(v) for layout, v in zip(layouts, vectors)), np.zeros(states + povms, bool))
+    rec_states, true_states, rec_povms, true_povms = vectors
+    expected = np.concatenate([fidelity(rec_states, true_states), povm_element_fidelity(rec_povms, true_povms)])
+    assert np.array(score.fidelities).tobytes() == expected.tobytes()
+    assert np.array(score.relative_errors).tobytes() == relative_error(rec_povms, true_povms).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -186,6 +186,20 @@ class TestLoopBootstrap:
         with pytest.raises(ShapeError):
             loop_bootstrap(np.zeros((6, 6)), np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("corner", ["C", "D"])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_non_finite_entry_outside_the_inverted_blocks_is_named(self, scheme, corner, bad):
+        # the guard inverts W1, A and B; a NaN or inf in C or D would come
+        # back as a NaN residual or state row, so it is named instead
+        plan = ExperimentPlan(scheme=scheme, noise=NoiseModel(seed=3))
+        mean = np.mean(run_experiment(plan), axis=0)
+        second = scheme.embed_index[3]  # D's first row and column, in both schemes
+        entry = (second, 0) if corner == "C" else (second, second)
+        mean[entry] = bad
+        with pytest.raises(ShapeError, match=rf"^entry \({entry[0] + 1}, {entry[1] + 1}\) = {bad} outside"):
+            loop_bootstrap(mean, theoretical_observables(plan)[:, :3])
+
     def test_rescales_only_beyond_roundoff(self):
         # a row 2 ulp past the sphere is a unit vector up to rounding and
         # is left as it is; a row at 1 + 1e-9 is rescaled and flagged
