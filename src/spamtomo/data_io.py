@@ -8,10 +8,13 @@ Measurement files carry repeated expectation matrices as CSV blocks:
                         (blank line between repetition blocks)
 
 Values are written with ``repr`` precision so a save/load round trip is
-exact.  The loader reads this layout, with LF or CRLF line endings, by
-slicing the separators out of the line list; every other valid layout
-(several blank or whitespace-only lines between blocks, trailing blank
-lines) still loads, through a line scan, to the same stack.
+exact.  The loader recognises this layout on the file's bytes (ASCII
+after an optional UTF-8 byte-order mark, every line ending in LF or
+every one in CRLF) and has numpy parse the file in chunks, with no
+Python string per line; every other file (several blank or
+whitespace-only lines between blocks, trailing blank lines, other
+control characters or line ends, non-ASCII text) is decoded and read
+by a line scan, to the same stack.
 
 Reports are a single standard JSON document with a ``schema`` field
 (non-finite numbers as the strings "inf", "-inf" and "nan"), laid out
@@ -22,7 +25,10 @@ significance grids) is additionally emitted as labelled CSV for external
 plotting.
 """
 
+import codecs
 import math
+import os
+import warnings
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -70,9 +76,12 @@ def _parse_header(line):
     return scheme, blocks
 
 
-def _parse(lines, usecols=None):
-    """The loader's one number parser: bulk conversion and error location."""
-    return np.loadtxt(lines, dtype=float, delimiter=",", comments=None, usecols=usecols)
+def _parse(source, usecols=None, skiprows=0):
+    """The loader's one number parser: bulk conversion and error location,
+    of a list of lines or, in numpy's chunked reader, of a file."""
+    return np.loadtxt(
+        source, dtype=float, delimiter=",", comments=None, usecols=usecols, skiprows=skiprows, encoding="utf-8-sig"
+    )
 
 
 def _first_malformed(blocks, size):
@@ -130,51 +139,110 @@ def _scanned_stack(rows, declared_blocks, size):
     return stack
 
 
+def _text_lines(data):
+    """The lines of a measurement file's bytes, as ``str.splitlines`` of
+    its UTF-8 text gives them (a leading byte-order mark dropped).  The
+    incremental decoder is the one a text-mode read uses, which also
+    reads a file of the first one or two bytes of a byte-order mark as
+    empty."""
+    try:
+        return codecs.getincrementaldecoder("utf-8-sig")().decode(data, final=True).splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"measurement file is not UTF-8 text: {exc}") from None
+
+
+def _line_widths(body):
+    """The width of each line of ``body``, a non-empty file's bytes after
+    any byte-order mark, if every byte is printable ASCII or a line end
+    and the lines all end in LF or all in CRLF (the last one may end the
+    file instead); ``None`` for any other file.  Such a file splits into
+    lines only at its LFs, for ``splitlines`` and numpy's reader alike."""
+    if body.max() > 126:
+        return None
+    control = np.flatnonzero(body < 32)
+    kinds = body[control]
+    lf, cr = control[kinds == 10], control[kinds == 13]
+    if lf.size + cr.size != control.size or (cr.size and not np.array_equal(cr + 1, lf)):
+        return None
+    ends = lf if body[-1] == 10 else np.append(lf, body.size)
+    widths = np.diff(ends, prepend=-1) - 1
+    widths[: lf.size] -= cr.size > 0
+    return widths
+
+
+def _chunked_stack(path, blocks, size):
+    """The stack of a file whose bytes were checked to be in the saver's
+    layout, parsed by numpy's chunked file reader with no Python string
+    per line; ``None`` if that parse fails or finds other than
+    ``blocks * size`` rows.  The reader opens the file again, so a file
+    that lost or gained rows since the check, or is gone, is left to the
+    caller's line scan of the checked bytes.  So is any other failure of
+    the parse (a number numpy cannot read, or a name numpy's data source
+    opens as a compressed file); the scan reports the file's first
+    error."""
+    try:
+        # a warning fails the parse too: numpy warns of a file left with
+        # no rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # an absolute path, which numpy's data source never takes for a URL
+            rows = _parse(os.path.abspath(path), skiprows=1)
+    except Exception:
+        return None
+    return rows.reshape(blocks, size, size) if rows.shape == (blocks * size, size) else None
+
+
 def load_measurements(path):
     """Read a measurement file; returns ``(stack, scheme)`` with ``stack``
     a ``(repetitions, n, n)`` float array.
 
-    The layout :func:`save_measurements` writes (one empty line between
-    blocks, LF or CRLF line endings) is read by slicing the separators out
-    of the line list; every other valid layout (runs of blank or
-    whitespace-only lines between blocks, trailing blank lines) is read by
-    a line scan, to the same stack.  Entries are validated to lie within
-    [-1, 1] (tolerance 1e-9; NaN and infinities fail); any malformed row
-    or out-of-range value is reported with its block, row and column (all
-    1-based).  Structure and parse errors are reported in file order,
-    before any range error.  A leading UTF-8 byte-order mark is ignored.
+    The layout :func:`save_measurements` writes (the header, then blocks
+    of non-empty rows with exactly one empty line between blocks; ASCII
+    after an optional UTF-8 byte-order mark; every line ending in LF, or
+    every one in CRLF) is recognised on the file's bytes and parsed by
+    numpy's chunked file reader, with no Python string per line.  Every
+    other file (runs of blank or whitespace-only lines between blocks,
+    trailing blank lines, tabs, other control characters, mixed or bare
+    CR line ends, non-ASCII text) is decoded and read by a line scan, to
+    the same stack.  Entries are validated to lie within [-1, 1]
+    (tolerance 1e-9; NaN and infinities fail); any malformed row or
+    out-of-range value is reported with its block, row and column (all
+    1-based).  Errors come in this order: a missing file, text that is
+    not UTF-8, an empty file, the header, then structure and parse
+    errors in file order, then range errors.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            raw_lines = handle.read().splitlines()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except FileNotFoundError:
         raise DataFormatError(f"measurement file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"measurement file is not UTF-8 text: {exc}") from None
-    if not raw_lines:
-        raise DataFormatError("empty measurement file")
-    scheme, declared_blocks = _parse_header(raw_lines[0])
+    body = np.frombuffer(data, np.uint8)[3 if data.startswith(codecs.BOM_UTF8) else 0 :]
+    widths = _line_widths(body) if body.size else None
+    if widths is None:
+        lines = _text_lines(data)
+        if not lines:
+            raise DataFormatError("empty measurement file")
+        header = lines[0]
+    else:
+        lines = None
+        header = body[: widths[0]].tobytes().decode("ascii")
+    scheme, declared_blocks = _parse_header(header)
     size = scheme.n_settings
 
-    # The simulator's own layout: `declared_blocks` groups of `size` rows
-    # with one empty line between groups.  The parser skips empty lines,
-    # so a file with an empty row goes to the line scan unparsed; with
-    # none, a whitespace-only or wrong-width row makes the parse or the
-    # reshape fail, and every file that fails goes to the line scan,
-    # which finds its first error.
+    # The saver's layout: `declared_blocks` groups of `size` rows with an
+    # empty line between groups.  An empty line in place of a row leaves
+    # the parse a row short, and the line scan reads the file.
     stack = None
-    rows = raw_lines[1:]
-    if len(rows) == declared_blocks * (size + 1) - 1 and not any(rows[size :: size + 1]):
-        del rows[size :: size + 1]
-        try:
-            stack = _parse(rows).reshape(declared_blocks, size, size) if all(rows) else None
-        except ValueError:
-            pass
+    if widths is not None:
+        empty = widths[1:] == 0
+        if empty.size == declared_blocks * (size + 1) - 1 and empty[size :: size + 1].all():
+            stack = _chunked_stack(path, declared_blocks, size)
     if stack is None:
-        stack = _scanned_stack(raw_lines[1:], declared_blocks, size)
-    bad = ~(np.abs(stack) <= 1.0 + 1e-9)
-    if bad.any():
-        b, r, c = np.argwhere(bad)[0]
+        stack = _scanned_stack((lines or _text_lines(data))[1:], declared_blocks, size)
+    # two reductions, with no temporary array, on a stack in range; NaN
+    # fails both, and ±inf one
+    if not (stack.min(initial=0.0) >= -(1.0 + 1e-9) and stack.max(initial=0.0) <= 1.0 + 1e-9):
+        b, r, c = np.argwhere(~(np.abs(stack) <= 1.0 + 1e-9))[0]
         raise DataFormatError(
             f"block {b + 1}, row {r + 1}, column {c + 1}: value {stack[b, r, c]} outside [-1, 1]",
             block=b + 1, row=r + 1, col=c + 1,

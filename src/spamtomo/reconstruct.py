@@ -16,6 +16,7 @@ rescaled vector is pure) only once every vector is recovered, so
 projection bias does not compound.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,10 @@ def loop_bootstrap(values, known_w):
     preparations and settings 1..n, in order; the loop returns those.
     The residual is the largest element-wise mismatch between C and the
     loop's ``D B^-1 A``, so it does not depend on ``W1``.  Rescaling onto
-    the unit sphere happens once, over every recovered vector.  A NaN or
-    inf entry, which the guard sees only in W1, A and B, is a ShapeError.
+    the unit sphere happens once, over every recovered vector.  An entry
+    of C or D, which the guard does not see, that is NaN or inf, or so
+    large that the squares of the entries or of the recovered vectors
+    overflow, is a ShapeError that names it.
     """
     if np.ndim(values) != 2:
         raise ShapeError(f"loop expects one 6x6 or 4x4 matrix, got shape {np.shape(values)}")
@@ -77,12 +80,18 @@ def loop_bootstrap(values, known_w):
         raise ShapeError(f"known observables must form a 3x3 block, got shape {known_w.shape}")
 
     w1_inv, a_inv, b_inv = guarded_inv3(np.stack([known_w, a, b]), where=_BLOCKS)
-    if not np.isfinite(values).all():  # past the guard, a NaN or inf sits in C or D
-        validate_expectation_matrix(values)
-    c_loop = d @ b_inv @ a
     n = len(values)
-    prep = (np.vstack([a, c_loop]) @ w1_inv)[:n]
-    vectors, flags = _clip_to_ball(np.vstack([prep, np.hstack([known_w, known_w @ a_inv @ b])[:, :n].T]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_loop = d @ b_inv @ a
+        prep = (np.vstack([a, c_loop]) @ w1_inv)[:n]
+        raw = np.vstack([prep, np.hstack([known_w, known_w @ a_inv @ b])[:, :n].T])
+        # the summed squares of the entries and of the recovered vectors
+        # are not finite for a NaN, an inf or a square past the float
+        # range; past the guard, such an entry sits in C or D
+        in_range = math.isfinite(np.vdot(values, values) + np.vdot(raw, raw))
+    if not in_range:
+        validate_expectation_matrix(values)
+    vectors, flags = _clip_to_ball(raw)
     return LoopResult(
         prep_stokes=vectors[:n],
         obs_vectors=vectors[n:].T,

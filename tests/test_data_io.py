@@ -125,19 +125,77 @@ class TestMeasurementsRoundTrip:
         assert loaded.shape == (4, 6, 6)
         assert loaded.tobytes() == canonical.tobytes()
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no_bom", "bom"])
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("repetitions", [1, 3])
-    def test_own_layout_is_read_without_the_line_scan(self, tmp_path, monkeypatch, scheme, repetitions):
-        path = str(tmp_path / "m.csv")
+    def test_own_layout_is_read_without_the_line_scan(self, tmp_path, monkeypatch, scheme, repetitions, line_end, bom):
+        # the saver's output, also as a Windows copy or a spreadsheet
+        # export leaves it
+        path = tmp_path / "m.csv"
         blocks = simulated_blocks(scheme, repetitions=repetitions)
-        save_measurements(path, blocks, scheme)
+        save_measurements(str(path), blocks, scheme)
+        path.write_bytes(bom + path.read_bytes().replace(b"\n", line_end))
 
         def no_scan(*args):
             raise AssertionError("line scan used")
 
         monkeypatch.setattr(data_io, "_scanned_stack", no_scan)
-        loaded, _ = load_measurements(path)
+        loaded, _ = load_measurements(str(path))
         assert loaded.tobytes() == blocks.tobytes()
+
+    @pytest.mark.parametrize("change", ["fewer_blocks", "more_blocks", "no_blocks", "removed"])
+    def test_file_changed_between_reads_loads_as_first_read(self, tmp_path, monkeypatch, change):
+        # the chunked parse opens the file again; when it finds another
+        # number of rows than the bytes checked before, or no file, the
+        # line scan of those bytes decides, and no numpy warning shows
+        path = tmp_path / "m.csv"
+        blocks = simulated_blocks(repetitions=3)
+        save_measurements(str(path), blocks, Scheme.TWO_N)
+        parse = data_io._parse
+
+        def change_then_parse(source, **kwargs):
+            if isinstance(source, str):
+                if change == "removed":
+                    path.unlink()
+                else:
+                    stack = {"fewer_blocks": blocks[:2], "more_blocks": simulated_blocks(repetitions=4), "no_blocks": blocks[:0]}
+                    save_measurements(str(path), stack[change], Scheme.TWO_N)
+            return parse(source, **kwargs)
+
+        monkeypatch.setattr(data_io, "_parse", change_then_parse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded, _ = load_measurements(str(path))
+        assert loaded.tobytes() == blocks.tobytes()
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_plain_record_under_a_compressed_file_name(self, tmp_path, suffix):
+        # numpy's chunked reader opens such a name as a compressed file
+        path = tmp_path / f"m.csv{suffix}"
+        blocks = simulated_blocks(repetitions=3)
+        save_measurements(str(path), blocks, Scheme.TWO_N)
+        loaded, _ = load_measurements(str(path))
+        assert loaded.tobytes() == blocks.tobytes()
+
+    def test_loading_holds_no_string_per_line(self, tmp_path):
+        # a 20,000-repetition record's peak memory while loading is its
+        # bytes, a one-byte mask of them, then the stack: about 2.6 times
+        # the file for samples of four decimals; decoding the text and
+        # splitting it into one string per line held about 4.8 times
+        path = tmp_path / "m.csv"
+        stack = np.round(np.random.default_rng(5).uniform(-1.0, 1.0, (20_000, 6, 6)), 4)
+        save_measurements(str(path), stack, Scheme.TWO_N)
+        load_measurements(str(path))  # first-use allocations stay out
+        tracemalloc.start()
+        try:
+            loaded, _ = load_measurements(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.tobytes() == stack.tobytes()
+        assert peak < 3.5 * path.stat().st_size
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("repetitions", [1, 2, 257])
@@ -278,6 +336,12 @@ class TestMeasurementErrors:
         path = tmp_path / "m.csv"
         path.write_bytes(b"# spamtomo-measurements v1 scheme=n+1 blocks=1\n\xff\xfe\n")
         with pytest.raises(DataFormatError, match="UTF-8"):
+            load_measurements(str(path))
+
+    def test_not_utf8_reported_before_the_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"spamtomo-measurements v1 scheme=n+1 blocks=1\n0.0,\xff,0.0,0.0\n")
+        with pytest.raises(DataFormatError, match="not UTF-8 text"):
             load_measurements(str(path))
 
     def test_missing_header(self, tmp_path):

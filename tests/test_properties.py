@@ -357,6 +357,62 @@ def test_fuzzed_measurement_text_loads_or_is_rejected(tmp_path_factory, scheme, 
     np.testing.assert_array_equal(stack, reference_stack(text, loaded_scheme.n_settings))
 
 
+# one layout change to a saved record: line ends and a byte-order mark,
+# separators, the end of the file, a control or non-ASCII character in a
+# row (\u2028 and NEL end a line for splitlines; 0xff is not UTF-8), and a
+# blank line moved with the line count kept
+LAYOUTS = st.sampled_from(["none", "crlf", "bom", "bom_crlf", "cr", "two_blank_lines", "whitespace_separators",
+                           "trailing_blank_lines", "no_final_newline", "in_row", "moved_blank_line"])
+IN_ROW = st.sampled_from([b"\f", b"\v", b"\x1c", b"\t", b"\xff", "\u00e9".encode(), "\u2028".encode(),
+                          "\x85".encode()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(list(Scheme)), reps=st.sampled_from([1, 2, 3, 257]), seed=st.integers(0, 2**32 - 1),
+       digits=st.sampled_from([4, None]), layout=LAYOUTS, where=st.integers(0, 2**16), char=IN_ROW)
+def test_every_layout_loads_as_the_line_scan_does(tmp_path_factory, scheme, reps, seed, digits, layout, where, char):
+    n = scheme.n_settings
+    stack = np.random.default_rng(seed).uniform(-1, 1, (reps, n, n))
+    path = tmp_path_factory.mktemp("layout") / "m.csv"
+    save_measurements(str(path), stack if digits is None else np.round(stack, digits), scheme)
+    data = path.read_bytes()
+    lines = data.split(b"\n")
+    if layout in ("crlf", "bom_crlf"):
+        data = data.replace(b"\n", b"\r\n")
+    if layout in ("bom", "bom_crlf"):
+        data = b"\xef\xbb\xbf" + data
+    if layout == "cr":
+        data = data.replace(b"\n", b"\r")
+    if layout == "two_blank_lines":
+        data = data.replace(b"\n\n", b"\n\n\n")
+    if layout == "whitespace_separators":
+        data = data.replace(b"\n\n", b"\n \t\n")
+    if layout == "trailing_blank_lines":
+        data += b"\n\n"
+    if layout == "no_final_newline":
+        data = data.rstrip(b"\n")
+    if layout == "in_row":
+        row = 1 + where % (len(lines) - 2)  # a data row or a separator
+        at = (0, len(lines[row]), where % (len(lines[row]) + 1))[where % 3]  # often at an end of the row
+        lines[row] = lines[row][:at] + char + lines[row][at:]
+        data = b"\n".join(lines)
+    if layout == "moved_blank_line" and reps > 1:
+        blank = lines.index(b"", 1)
+        del lines[blank]
+        lines.insert(1 + where % (len(lines) - 2), b"")
+        data = b"\n".join(lines)
+    path.write_bytes(data)
+    assert load_outcome(load_measurements, str(path)) == load_outcome(oracle_load_measurements, str(path))
+
+
+@pytest.mark.parametrize("data", [b"", b"\n", b"\xef", b"\xef\xbb", b"\xef\xbb\xbf", b"\xef\xbb\xbf\n", b"\xef\xbbx",
+                                  b"#\r", b"# scheme=2n blocks=0", b"# scheme=2n blocks=0\r\n", b"\x85# scheme=2n"])
+def test_short_files_load_as_the_line_scan_does(tmp_path, data):
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    assert load_outcome(load_measurements, str(path)) == load_outcome(oracle_load_measurements, str(path))
+
+
 ANGLE = st.floats(-10.0, 10.0)
 
 
