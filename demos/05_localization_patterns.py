@@ -2,8 +2,9 @@
 
 With six settings the deviation pattern names the corrupted element: an
 error at (1,1) lights up element (1,1), an error at (2,2) lights up
-(2,2).  With four settings the duplicated rows and columns alias the
-patterns onto row 1/column 1, so the error is seen but not located.
+(2,2).  With four settings every matrix has
+Delta - 1 = -(det S / det D) A^-1 e1 e1^T, so only column 1 deviates, by
+one scalar: the error is seen but not located.
 """
 
 import numpy as np

@@ -10,11 +10,15 @@ from an actual correlated error; a non-finite determinant counts as
 singular.
 """
 
+import math
+
 import numpy as np
 
 from .errors import SingularMatrixError
 
 DET_RTOL = 1e-10
+
+_SQRT3 = math.sqrt(3.0)
 
 # Cofactor table: ``adj[i, j] = m[p] * m[q] - m[r] * m[s]`` on the
 # row-major flat index of a 3x3 matrix, one ``(p, q, r, s)`` per element
@@ -64,7 +68,7 @@ def guarded_inv3(m, where):
     # cofactor expansion along the first row: the adjugate's first column
     det = m[..., 0, 0] * adj[..., 0, 0] + m[..., 0, 1] * adj[..., 1, 0] + m[..., 0, 2] * adj[..., 2, 0]
     # the Frobenius norm, summed as np.linalg.norm(m, 'fro') sums it
-    scale = (np.sqrt(np.add.reduce(m * m, axis=(-2, -1))) / np.sqrt(3.0)) ** 3
+    scale = (np.sqrt(np.add.reduce(m * m, axis=(-2, -1))) / _SQRT3) ** 3
     singular = ~np.isfinite(det) | (np.abs(det) <= DET_RTOL * scale)
     if singular.any():
         index = tuple(np.argwhere(singular)[0])

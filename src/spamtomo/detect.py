@@ -23,7 +23,7 @@ statistics all work on a whole ``(repetitions, n, n)`` stack at once.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,13 +199,14 @@ def detect(stats, threshold=3.0):
     """Flag every element whose significance exceeds ``threshold`` (in
     units of the repetition standard deviation).  The report carries the
     scheme of ``stats``, which :func:`localize` reads."""
-    if not (np.isfinite(threshold) and threshold > 0):
+    finite = math.isfinite(threshold) if type(threshold) is float else np.isfinite(threshold)
+    if not (finite and threshold > 0):
         raise ShapeError(f"threshold must be finite and positive, got {threshold}")
     flagged = [
-        (r + 1, c + 1, float(stats.significance[r, c]))
-        for r in range(3)
-        for c in range(3)
-        if stats.significance[r, c] > threshold
+        (r + 1, c + 1, value)
+        for r, row in enumerate(stats.significance.tolist())
+        for c, value in enumerate(row)
+        if value > threshold
     ]
     flagged.sort(key=lambda item: -item[2])
     return DetectionReport(
@@ -223,20 +224,20 @@ def localize(report):
     preparations ``r`` and ``r + 3`` and each flagged column ``c``
     implicates settings ``c`` and ``c + 3``; the partial determinant
     cannot tell those corners apart, so the Cartesian product of both is
-    reported.  For the four-setting scheme the duplicated rows/columns
-    alias every error onto row 1/column 1: flags confined there mean an
-    error is present but its location is indeterminate, and flags beyond
-    row 1/column 1 name compact locations directly (row 1/column 1 flags
-    then come along as duplication artifacts).
+    reported.  For the four-setting scheme every matrix whose corners
+    invert has ``Delta - 1 = -(det S / det D) A^-1 e1 e1^T``: only column 1
+    can deviate, all of it by one scalar, at the rows where ``A^-1 e1`` is
+    not zero, which the plan's settings fix, not the error.  A detection
+    then says an error is present but not where.
 
     The localization is heuristic thresholding of the deviation pattern;
     candidates are suggestions for the operator, not proofs.
     """
     if not report.detected:
-        return replace(report, candidate_locations=(), note="no flags to localize")
-    rows = sorted({r for r, _, _ in report.flagged_elements})
-    cols = sorted({c for _, c, _ in report.flagged_elements})
-    if report.scheme is Scheme.TWO_N:
+        candidates, note = (), "no flags to localize"
+    elif report.scheme is Scheme.TWO_N:
+        rows = sorted({r for r, _, _ in report.flagged_elements})
+        cols = sorted({c for _, c, _ in report.flagged_elements})
         preps = sorted({p for r in rows for p in (r, r + 3)})
         settings = sorted({s for c in cols for s in (c, c + 3)})
         candidates = tuple((a, i) for a in preps for i in settings)
@@ -246,17 +247,16 @@ def localize(report):
             "partial determinant cannot distinguish those corners"
         )
     else:
-        confined = all(r == 1 or c == 1 for r, c, _ in report.flagged_elements)
-        if confined:
-            candidates = ()
-            note = (
-                "correlated error present, location indeterminate: with four settings the "
-                "duplicated rows/columns alias distinct errors onto row 1/column 1"
-            )
-        else:
-            candidates = tuple((r, c) for r in rows for c in cols)
-            note = (
-                "row 1/column 1 flags are expected duplication artifacts; remaining flags "
-                "name compact (preparation, setting) locations"
-            )
-    return replace(report, candidate_locations=candidates, note=note)
+        candidates = ()
+        note = (
+            "correlated error present, location indeterminate: with four settings the "
+            "duplicated rows/columns alias distinct errors onto row 1/column 1"
+        )
+    return DetectionReport(
+        detected=report.detected,
+        threshold=report.threshold,
+        flagged_elements=report.flagged_elements,
+        scheme=report.scheme,
+        candidate_locations=candidates,
+        note=note,
+    )

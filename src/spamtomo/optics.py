@@ -62,13 +62,20 @@ DEFAULT_REPETITIONS = 10
 
 def _is_finite_real(value):
     """True for a real number that is not a bool and is a finite float;
-    an int beyond the float range is not."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    an int beyond the float range is not.  The exact types ``float`` and
+    ``int`` skip the ``numbers.Real`` check."""
+    if type(value) not in (float, int) and (not isinstance(value, numbers.Real) or isinstance(value, bool)):
         return False
     try:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _is_integer(value):
+    """True for an integral number that is not a bool; the exact type
+    ``int`` skips the ``numbers.Integral`` check."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 class Scheme(str, enum.Enum):
@@ -86,10 +93,10 @@ class Scheme(str, enum.Enum):
     def of_shape(cls, shape):
         """The scheme of an ``(..., n, n)`` matrix or stack from its size:
         6x6 is 2n and 4x4 is n+1; any other raises :class:`ShapeError`."""
-        for scheme in cls:
-            if tuple(shape[-2:]) == (scheme.n_settings,) * 2:
-                return scheme
-        raise ShapeError(f"expectation matrix must be 6x6 or 4x4, got shape {tuple(shape)}")
+        scheme = _SCHEME_OF_SIZE.get(tuple(shape[-2:]))
+        if scheme is None:
+            raise ShapeError(f"expectation matrix must be 6x6 or 4x4, got shape {tuple(shape)}")
+        return scheme
 
     @property
     def embed_index(self):
@@ -97,6 +104,9 @@ class Scheme(str, enum.Enum):
         column) of the corners ``[[A, B], [C, D]]``: A's triple, then D's.
         The identity for six settings; for four, D's is 4, 2, 3 (1-based)."""
         return (0, 1, 2, 3, 4, 5) if self is Scheme.TWO_N else (0, 1, 2, 3, 1, 2)
+
+
+_SCHEME_OF_SIZE = {(scheme.n_settings,) * 2: scheme for scheme in Scheme}
 
 
 class SourceKind(str, enum.Enum):
@@ -142,7 +152,7 @@ _DEFAULT_SETTINGS = {
 def default_settings(scheme):
     """The default wave-plate settings for a scheme (six, or the first
     four), built once per scheme."""
-    return _DEFAULT_SETTINGS[Scheme(scheme)]
+    return _DEFAULT_SETTINGS[scheme if type(scheme) is Scheme else Scheme(scheme)]
 
 
 # Stokes vectors travel through the plates as their three components
@@ -217,7 +227,7 @@ class ErrorInjection:
 
     def __post_init__(self):
         for index in (self.prep_index, self.setting_index):
-            if isinstance(index, bool) or not isinstance(index, numbers.Integral) or index < 1:
+            if not _is_integer(index) or index < 1:
                 raise ConfigError(
                     f"error_injections: prep and setting must be integers >= 1, got ({self.prep_index!r}, {self.setting_index!r})",
                     field="error_injections",
@@ -248,7 +258,7 @@ class NoiseModel:
     def __post_init__(self):
         shots = self.shots_per_setting
         if shots is not None:
-            if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+            if not _is_integer(shots):
                 raise ConfigError(f"shots must be an integer, got {shots!r}", field="shots")
             # the binomial sampler takes at most 2**63 - 1 trials
             if not 1 <= shots < 2**63:
@@ -283,6 +293,8 @@ class ExperimentPlan:
     def __post_init__(self):
         for name, kind, key in (("source", SourceKind, "state"), ("scheme", Scheme, "scheme")):
             value = getattr(self, name)
+            if type(value) is kind:
+                continue
             try:
                 object.__setattr__(self, name, kind(value))
             except ValueError:
@@ -299,7 +311,7 @@ class ExperimentPlan:
                     field=key,
                 )
             object.__setattr__(self, name, settings)
-        if isinstance(self.repetitions, bool) or not isinstance(self.repetitions, numbers.Integral):
+        if not _is_integer(self.repetitions):
             raise ConfigError(f"repetitions must be an integer, got {self.repetitions!r}", field="repetitions")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}", field="repetitions")
@@ -424,8 +436,12 @@ def run_experiment(plan):
             eps = jitter.standard_normal((len(block), 2 * (m + n))) * sigma
             block[...] = _expectation_matrix(plan, qwp + eps[:, 0::2], hwp + eps[:, 1::2])
         if shots is not None:
-            # probabilities, then counts, in the block's own buffer
-            np.clip((1.0 + block) / 2.0, 0.0, 1.0, out=block)
+            # probabilities clipped to [0, 1], then counts, in the block's
+            # own buffer (two ufuncs skip np.clip's Python wrapper)
+            block += 1.0
+            block /= 2.0
+            np.maximum(block, 0.0, out=block)
+            np.minimum(block, 1.0, out=block)
             block[...] = counts.binomial(shots, block)
     if shots is not None:
         # an exact integer numerator, then one correctly rounded division

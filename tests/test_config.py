@@ -1,4 +1,8 @@
 import json
+import math
+import numbers
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from spamtomo import (
     DEFAULT_HWP_ANGLES,
     DEFAULT_QWP_ANGLES,
     ConfigError,
+    ErrorInjection,
     ExperimentPlan,
     NoiseModel,
     RunConfig,
@@ -231,3 +236,61 @@ class TestRunConfig:
     def test_echo_is_json_serializable(self):
         config = RunConfig()
         json.dumps(config.to_dict())
+
+
+def oracle_integer(value):
+    """The ``numbers.Integral`` rule: any integral number but a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def oracle_finite_real(value):
+    """The ``numbers.Real`` rule: a real number, not a bool, finite as a
+    float (an int beyond the float range is not)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+NUMBER_LIKE = [
+    True, False, 0, 1, 3, -2, 2**63 - 1, 2**63, 2**64, 10**400,
+    np.int64(3), np.uint64(3), np.int8(0), np.bool_(True),
+    0.5, 2.0, -0.5, 0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e308,
+    np.float64(0.5), np.float32(0.5), np.float32(float("inf")), np.float16(2.0),
+    Fraction(1, 2), Fraction(3), Decimal("0.5"), Decimal(3), Decimal("nan"),
+    "3", "0.5", None, [3], complex(1, 0),
+]
+
+# field -> (build it from a value, the rule it must follow)
+VALIDATED_FIELDS = {
+    "prep": (lambda v: ErrorInjection(v, 1, 0.1), lambda v: oracle_integer(v) and v >= 1),
+    "setting": (lambda v: ErrorInjection(1, v, 0.1), lambda v: oracle_integer(v) and v >= 1),
+    "hwp_offset": (lambda v: ErrorInjection(1, 1, v), oracle_finite_real),
+    "shots": (lambda v: NoiseModel(shots_per_setting=v),
+              lambda v: v is None or (oracle_integer(v) and 1 <= v < 2**63)),
+    "seed": (lambda v: NoiseModel(seed=v),
+             lambda v: isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**64),
+    "repetitions": (lambda v: ExperimentPlan(repetitions=v), lambda v: oracle_integer(v) and v >= 1),
+    "angle_jitter_sigma": (lambda v: NoiseModel(angle_jitter_sigma=v), lambda v: oracle_finite_real(v) and v >= 0),
+    "threshold": (lambda v: RunConfig(mode="simulate", detection_threshold=v),
+                  lambda v: oracle_finite_real(v) and v > 0),
+}
+
+
+@pytest.mark.parametrize("field", list(VALIDATED_FIELDS))
+def test_number_checks_follow_the_numbers_rules(field):
+    # exact int and float skip the numbers ABC checks; every other type
+    # must still be accepted or refused as those checks decide
+    build, rule = VALIDATED_FIELDS[field]
+    wrong = []
+    for value in NUMBER_LIKE:
+        try:
+            build(value)
+            accepted = True
+        except ConfigError:
+            accepted = False
+        if accepted != rule(value):
+            wrong.append(value)
+    assert not wrong, f"{field}: {wrong!r}"

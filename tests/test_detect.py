@@ -338,6 +338,27 @@ class TestDetect:
         with pytest.raises(ShapeError, match="threshold"):
             detect(make_stats(np.zeros((3, 3))), threshold=threshold)
 
+    @pytest.mark.parametrize("threshold", [
+        3.0, 3, np.float64(3.0), np.float32(3.0), np.int64(3), np.array(3.0), 1e-300, 10**400,
+        0.0, -1.0, True, np.float32("nan"), "3", None,
+    ], ids=repr)
+    def test_threshold_checked_as_numpy_checks_it(self, threshold):
+        # a float takes math.isfinite; every other type keeps np.isfinite's
+        # answer, or its TypeError
+        def reference():
+            if not (np.isfinite(threshold) and threshold > 0):
+                raise ShapeError("threshold")
+            return float(threshold)
+
+        def outcome(call):
+            try:
+                return call()
+            except (ShapeError, TypeError) as exc:
+                return type(exc)
+
+        expected = outcome(reference)
+        assert outcome(lambda: detect(make_stats(np.zeros((3, 3))), threshold).threshold) == expected
+
 
 class TestLocalize:
     def test_two_n_first_row_and_column(self):
@@ -364,16 +385,9 @@ class TestLocalize:
         assert report.candidate_locations == ()
         assert "indeterminate" in report.note
 
-    def test_n_plus_one_row_and_column_flags_stay(self):
-        sig = np.zeros((3, 3))
-        sig[0, 0] = 15.0
-        sig[1, 2] = 6.0
-        report = localize(detect(make_stats(sig, Scheme.N_PLUS_ONE), 3.0))
-        assert (2, 3) in report.candidate_locations
-
     def test_n_plus_one_run_location_indeterminate(self):
-        # a quarter-turn error at (2, 2) with four settings aliases onto
-        # row 1/column 1: it is detected, but no location can be named
+        # a quarter-turn error at (2, 2) with four settings moves only
+        # column 1 of Delta: it is detected, but no location can be named
         plan = ExperimentPlan(
             scheme=Scheme.N_PLUS_ONE, errors=(ErrorInjection(2, 2, np.pi / 4),), noise=NoiseModel(seed=0)
         )

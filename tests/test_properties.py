@@ -1,12 +1,13 @@
 """Property tests: the consistency identity and its symmetries on random
-stacks, the statistics of Delta against numpy's mean and standard
-deviation, the loop residual as the closure mismatch, the loop's states and
-observables against the corners they invert, the plates' Stokes
-rotations against their Jones matrices, the vector scores against their
-matrix forms and across memory layouts, the measurement-file loader on
-random and fuzzed input and against a line scan of every file, fuzzed
-configs, the simulator's samples against the run length and block size
-and as count fractions, and the report writer against json.dumps."""
+stacks, the compact scheme's one-scalar deviation, the statistics of
+Delta against numpy's mean and standard deviation, the loop residual as
+the closure mismatch, the loop's states and observables against the
+corners they invert, the plates' Stokes rotations against their Jones
+matrices, the vector scores against their matrix forms and across memory
+layouts, the measurement-file loader on random and fuzzed input and
+against a line scan of every file, fuzzed configs, the simulator's
+samples against the run length and block size and as count fractions,
+and the report writer against json.dumps."""
 
 import json
 import math
@@ -133,6 +134,40 @@ class TestProperties:
             for r, c, _ in detect(delta_statistics(permuted)).flagged_elements
         }
         assert moved == flags
+
+
+# Rows and columns of the compact scheme's corners A and D.
+COMPACT_A, COMPACT_D = [0, 1, 2], [3, 1, 2]
+
+
+def compact_corner(values, triple):
+    return values[..., triple, :][..., :, triple]
+
+
+def compact_stack(rng, count):
+    """``count`` random 4x4 matrices with entries in [-1, 1] whose corners
+    A and D are comfortably invertible."""
+    stack = []
+    while len(stack) < count:
+        s = rng.uniform(-1.0, 1.0, (4, 4))
+        if min(abs(np.linalg.det(compact_corner(s, triple))) for triple in (COMPACT_A, COMPACT_D)) > 1e-3:
+            stack.append(s)
+    return np.array(stack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.sampled_from([None, 1, 2, 7, 20]))
+def test_n_plus_one_delta_is_one_scalar_times_a_inverse_e1(seed, count):
+    # Delta - 1 = -(det S / det D) A^-1 e1 e1^T for every compact matrix:
+    # C's columns 2-3 are D's and B's are A's, so only column 1 deviates
+    stack = compact_stack(np.random.default_rng(seed), count or 1)
+    values = stack[0] if count is None else stack
+    ratio = np.linalg.det(values) / np.linalg.det(compact_corner(values, COMPACT_D))
+    column = -ratio[..., None] * np.linalg.inv(compact_corner(values, COMPACT_A))[..., :, 0]
+    deviation = partial_determinant(values) - np.eye(3)
+    scale = np.maximum(np.abs(deviation).max(axis=(-2, -1)), 1.0)[..., None, None]
+    assert np.all(np.abs(deviation[..., :, 1:]) <= 1e-9 * scale)
+    assert np.all(np.abs(deviation[..., :, 0] - column) <= 1e-9 * scale[..., 0])
 
 
 @settings(max_examples=150, deadline=None)

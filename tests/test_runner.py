@@ -209,6 +209,92 @@ class TestOutputs:
         assert [1, 1] in payload["detection"]["candidate_locations"]
 
 
+# SHA-256 of report.json and measurements.csv of a full run at seed 1,
+# keyed by (scheme, state, pi/4 injection at (1, 1), default jitter
+# rather than none).  They depend on numpy's sin, cos and binomial sampler
+# as well as on this package, and were recorded with numpy 2.4 on x86-64.
+OUTPUT_DIGESTS = {
+    ("2n", "pure_h", False, False): (
+        "0b664886fca839e2e27b3429cf38687107d382e65e7a040ab8793224e1aee975",
+        "12bd9c0303b6d2f9df26900fd4efa0f5d3ca1c1c545d2cf60fce1a2c7a415d6c",
+    ),
+    ("2n", "pure_h", False, True): (
+        "fc4dcc4ec034312657da94f463688267b46d304757a418355a71e0e500abbd45",
+        "5eeed0e96c15bc26e8dd330643cf19d1ac3d750cad717ebc1bff8b03eb47d0d9",
+    ),
+    ("2n", "pure_h", True, False): (
+        "35a4b8c23067856c0d259804bbed4cbcb3f5ba98f62eb564958128822c3efac0",
+        "60f1b50adbc70f7393a01072e7a921e6e5b6097e40ff9482be49179d25853dc9",
+    ),
+    ("2n", "pure_h", True, True): (
+        "cd560b3e5575f24609c05de7767b5900bb07555dbb86f1ac6dfd92f66e64ddd0",
+        "7237ced02b11a02def1f33d937cd9232dcd60d6aeb0439fb72d8cf4cd5711b30",
+    ),
+    ("2n", "mixed", False, False): (
+        "cf83cb2b9feed4ad89ddd0536e0b7a5df64e6a1a7f975534484d0017808f4d25",
+        "76853b66b5e48b02ab950b5ff37835be59c009dea58047a632149b8bc3f7d29d",
+    ),
+    ("2n", "mixed", False, True): (
+        "6d66cc4954448e6e87710b2f6e497b8676b2bd613ac33d75b80596adc9e92191",
+        "478e0cdb04ec58069812b956114c9b34bc7b84d860297616f9364d426beaa7ba",
+    ),
+    ("2n", "mixed", True, False): (
+        "a7c45a02615b9d7d5ec57ae2fa7cc54763fff39b8ad6f7dee016524a5bbe0510",
+        "c581d5854c6557c4041fcbdd611867e8402db75dee041c3c8fdc32f6e8fb0492",
+    ),
+    ("2n", "mixed", True, True): (
+        "96c778ba68844676bbe9e6dd2a4c10697a2e4d8f8a8d006f8328fc7c0fd17cf7",
+        "8ed2af84a717666fb25392386be6fa3e2a2214ab36da9b99ece115acfb6dd42c",
+    ),
+    ("n+1", "pure_h", False, False): (
+        "fdd2e4500adf17e6c737f7a4a2b88d6a96739559fffbfaef7c837f7368d96ca6",
+        "b5d1a529e99ba93a8195b3f3293734d77a39bd043d95fa4578c8f133f76fbd34",
+    ),
+    ("n+1", "pure_h", False, True): (
+        "cd3ae6910504e317f230338b7e6b9b6329b77cab360dc37961ec43b0b8060a5c",
+        "e9a22dd25b7e6eed3c8254e30b212a23550189b2e79574f0ae479ada99876fe0",
+    ),
+    ("n+1", "pure_h", True, False): (
+        "76eda1eb1fa452a806d9f29beea5638b1720941a4a2d1f44dd1dce7e6143fc8c",
+        "8e66be666032aaf1a4f55b2d551c3200620399a93f021aa11f022602094fe241",
+    ),
+    ("n+1", "pure_h", True, True): (
+        "e2daf732b1e8981488e45be756e0c27571c210754846c42f018032a0bcc2875d",
+        "fc43aad7d4058c3b4e285ce59c1572b01505a0b5e337cc28af21d8ef94b62cab",
+    ),
+    ("n+1", "mixed", False, False): (
+        "46da36316d1e3e78e44cf24ece950cfe8d38f2d9c652181447c2e4a7374cd4dc",
+        "bc49eec4b619fc6241844a85391d7fd48253d816beec645afd858d13f288539d",
+    ),
+    ("n+1", "mixed", False, True): (
+        "c04047f5711f7178d35c5fce132adc17323240bada68168c7304808d6ec26fba",
+        "509439fb7cc2a44bc7fdcee03a8746485b8df5450d7d79a5b322e58165029fca",
+    ),
+    ("n+1", "mixed", True, False): (
+        "4105fe1dede0426f104cca70ae1227f6357df69b8ff20baf21e146b892417a2f",
+        "44a0f3c0ade7cdfc002cf6b52085efd18d6fc2703b9b8dc55b3f11157f214b79",
+    ),
+    ("n+1", "mixed", True, True): (
+        "302a8d76b0a68baa0ed24a281dd9236208983d6d0430ca7ddc6ee099ff900ada",
+        "b298150b22192fa740bb7ad7261557b5efe3d90f2b6fd8e138216da9bfaca4bd",
+    ),
+}
+
+
+@pytest.mark.skipif(not np.__version__.startswith("2.4."), reason="digests recorded with numpy 2.4")
+@pytest.mark.parametrize("key", list(OUTPUT_DIGESTS), ids=lambda key: "-".join(map(str, key)))
+def test_outputs_keep_their_bytes(tmp_path, key):
+    scheme, state, injected, jitter = key
+    raw = {"mode": "full", "scheme": scheme, "state": state, "seed": 1}
+    if injected:
+        raw["error_injections"] = [{"prep": 1, "setting": 1, "hwp_offset": "pi/4"}]
+    if not jitter:
+        raw["angle_jitter_sigma"] = 0
+    paths = write_outputs(run(config_from_dict(raw)), str(tmp_path))
+    digests = tuple(hashlib.sha256(Path(paths[kind]).read_bytes()).hexdigest() for kind in ("report", "measurements"))
+    assert digests == OUTPUT_DIGESTS[key]
+
+
 class TestRecordName:
     """The report names its record by count, size and digest; the samples
     themselves live in the record file or follow from the config echo."""
