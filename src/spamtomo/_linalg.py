@@ -6,8 +6,8 @@ computed branch-free from the adjugate on ``(..., 3, 3)`` stacks rather
 than through a factorization per matrix.
 The singularity guard compares each determinant against the Frobenius
 scale of its matrix, which separates a degenerate choice of settings
-from an actual correlated error; a non-finite determinant counts as
-singular.
+from an actual correlated error; a non-finite determinant, or a scale
+that overflows, counts as singular.
 """
 
 import math
@@ -55,7 +55,9 @@ def guarded_inv3(m, where):
     or is small relative to the matrix scale.
 
     The scale is ``(|m|_F / sqrt(3))**3``, the determinant magnitude of a
-    well-conditioned matrix with the same Frobenius norm.  ``where`` names
+    well-conditioned matrix with the same Frobenius norm.  A matrix whose
+    scale overflows (an entry beyond about 1e102) is reported as singular
+    too.  ``where`` names
     the matrix; it may instead be a sequence naming the positions along
     the last leading axis.  The error reports the first singular matrix
     in C order of the leading axes, prefixed by ``sample k:`` (1-based)
@@ -64,11 +66,15 @@ def guarded_inv3(m, where):
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise SingularMatrixError(f"{where} must be 3x3, got shape {m.shape}", where=where)
-    adj = adjugate3(m)
-    # cofactor expansion along the first row: the adjugate's first column
-    det = m[..., 0, 0] * adj[..., 0, 0] + m[..., 0, 1] * adj[..., 1, 0] + m[..., 0, 2] * adj[..., 2, 0]
-    # the Frobenius norm, summed as np.linalg.norm(m, 'fro') sums it
-    scale = (np.sqrt(np.add.reduce(m * m, axis=(-2, -1))) / _SQRT3) ** 3
+    # a scale that overflows is inf, and the matrix singular; a cofactor
+    # product p*q that overflows (or an inf - inf) comes with such a
+    # scale, since p^2 + q^2 >= 2|p*q|
+    with np.errstate(over="ignore", invalid="ignore"):
+        adj = adjugate3(m)
+        # cofactor expansion along the first row: the adjugate's first column
+        det = m[..., 0, 0] * adj[..., 0, 0] + m[..., 0, 1] * adj[..., 1, 0] + m[..., 0, 2] * adj[..., 2, 0]
+        # the Frobenius norm, summed as np.linalg.norm(m, 'fro') sums it
+        scale = (np.sqrt(np.add.reduce(m * m, axis=(-2, -1))) / _SQRT3) ** 3
     singular = ~np.isfinite(det) | (np.abs(det) <= DET_RTOL * scale)
     if singular.any():
         index = tuple(np.argwhere(singular)[0])

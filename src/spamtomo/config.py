@@ -51,6 +51,7 @@ from .optics import (
     NoiseModel,
     WavePlateSetting,
     _is_finite_real,
+    _is_integer,
     default_settings,
     theoretical_observables,
     theoretical_states,
@@ -66,12 +67,10 @@ _PI_PATTERN = re.compile(
 
 def parse_angle(value, field_name="angle"):
     """Parse an angle given as a number or a pi-fraction string; the
-    angle must be finite."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{field_name} must be a number or pi-fraction string, got {value!r}", field=field_name)
-    if isinstance(value, (int, float)):
-        angle = value
-    elif isinstance(value, str):
+    angle must be finite, and a number must be a real one (not a bool;
+    see ``optics._is_finite_real``)."""
+    angle = value
+    if isinstance(value, str):
         match = _PI_PATTERN.match(value)
         if match:
             mult = float(match.group("mult")) if match.group("mult") else 1.0
@@ -88,8 +87,6 @@ def parse_angle(value, field_name="angle"):
                     f"{field_name}: cannot parse {value!r} (use radians or forms like 'pi/16')",
                     field=field_name,
                 ) from None
-    else:
-        raise ConfigError(f"{field_name} must be a number or string, got {type(value).__name__}", field=field_name)
     if not _is_finite_real(angle):
         raise ConfigError(f"{field_name} must be a finite number, got {value!r}", field=field_name)
     return float(angle)
@@ -203,7 +200,7 @@ def _parse_settings(raw, key):
 
 
 def _parse_index(value, name):
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}", field=name)
     return value
 

@@ -33,6 +33,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .detect import _first_out_of_range
 from .errors import DataFormatError, ShapeError, SpamTomoError
 from .optics import Scheme
 
@@ -204,12 +205,13 @@ def load_measurements(path):
     other file (runs of blank or whitespace-only lines between blocks,
     trailing blank lines, tabs, other control characters, mixed or bare
     CR line ends, non-ASCII text) is decoded and read by a line scan, to
-    the same stack.  Entries are validated to lie within [-1, 1]
-    (tolerance 1e-9; NaN and infinities fail); any malformed row or
-    out-of-range value is reported with its block, row and column (all
-    1-based).  Errors come in this order: a missing file, text that is
-    not UTF-8, an empty file, the header, then structure and parse
-    errors in file order, then range errors.
+    the same stack.  Entries are validated to lie within [-1, 1] up to
+    ``ATOL_INPUT`` by the range test of ``validate_expectation_matrix``
+    (NaN and infinities fail); any malformed row or out-of-range value is
+    reported with its block, row and column (all 1-based).  Errors come
+    in this order: a missing file, text that is not UTF-8, an empty file,
+    the header, then structure and parse errors in file order, then range
+    errors.
     """
     try:
         with open(path, "rb") as handle:
@@ -239,10 +241,9 @@ def load_measurements(path):
             stack = _chunked_stack(path, declared_blocks, size)
     if stack is None:
         stack = _scanned_stack((lines or _text_lines(data))[1:], declared_blocks, size)
-    # two reductions, with no temporary array, on a stack in range; NaN
-    # fails both, and ±inf one
-    if not (stack.min(initial=0.0) >= -(1.0 + 1e-9) and stack.max(initial=0.0) <= 1.0 + 1e-9):
-        b, r, c = np.argwhere(~(np.abs(stack) <= 1.0 + 1e-9))[0]
+    index = _first_out_of_range(stack)
+    if index is not None:
+        b, r, c = index
         raise DataFormatError(
             f"block {b + 1}, row {r + 1}, column {c + 1}: value {stack[b, r, c]} outside [-1, 1]",
             block=b + 1, row=r + 1, col=c + 1,

@@ -29,11 +29,20 @@ import numpy as np
 
 from ._linalg import guarded_inv3
 from .errors import ShapeError
-from .optics import Scheme
+from .optics import Scheme, _is_finite_real
 from .qubit import ATOL_INPUT
 
 _CORNERS = ("upper-left corner", "lower-right corner")
 _EYE3 = np.eye(3)
+
+
+def _first_out_of_range(values):
+    """The index of the first entry of a float array outside [-1, 1] up to
+    ``ATOL_INPUT``, in C order, or ``None`` when there is none.  Two
+    reductions, with no temporary array, decide; NaN fails both, and
+    +-inf one.  A mask is built only to locate the entry."""
+    if not (values.min(initial=0.0) >= -(1.0 + ATOL_INPUT) and values.max(initial=0.0) <= 1.0 + ATOL_INPUT):
+        return tuple(np.argwhere(~(np.abs(values) <= 1.0 + ATOL_INPUT))[0])
 
 
 def validate_expectation_matrix(values):
@@ -43,9 +52,8 @@ def validate_expectation_matrix(values):
     1-based)."""
     values = np.asarray(values, dtype=float)
     Scheme.of_shape(values.shape)
-    bad = ~(np.abs(values) <= 1.0 + ATOL_INPUT)
-    if bad.any():
-        index = tuple(np.argwhere(bad)[0])
+    index = _first_out_of_range(values)
+    if index is not None:
         *samples, r, c = index
         prefix = "".join(f"sample {k + 1}: " for k in samples)
         raise ShapeError(
@@ -109,10 +117,11 @@ def partial_determinant(values):
     on the corners :func:`corner_blocks` gathers.
 
     Raises :class:`SingularMatrixError` naming the corner when the
-    upper-left or lower-right block cannot be inverted reliably; that
-    indicates a degenerate choice of settings rather than a correlated
-    error.  For a stack the error names the lowest failing sample
-    (1-based), and within it the upper-left corner before the lower-right.
+    upper-left or lower-right block cannot be inverted reliably (an entry
+    that is NaN, inf or beyond about 1e102 included); that indicates a
+    degenerate choice of settings rather than a correlated error.  For a
+    stack the error names the lowest failing sample (1-based), and within
+    it the upper-left corner before the lower-right.
     """
     values = np.asarray(values, dtype=float)
     return _partial_determinant(values, Scheme.of_shape(values.shape))
@@ -197,11 +206,12 @@ class DetectionReport:
 
 def detect(stats, threshold=3.0):
     """Flag every element whose significance exceeds ``threshold`` (in
-    units of the repetition standard deviation).  The report carries the
-    scheme of ``stats``, which :func:`localize` reads."""
-    finite = math.isfinite(threshold) if type(threshold) is float else np.isfinite(threshold)
-    if not (finite and threshold > 0):
-        raise ShapeError(f"threshold must be finite and positive, got {threshold}")
+    units of the repetition standard deviation).  The threshold must be a
+    finite real number > 0 (not a bool or an array; see
+    ``optics._is_finite_real``), or :class:`ShapeError` is raised.  The
+    report carries the scheme of ``stats``, which :func:`localize` reads."""
+    if not (_is_finite_real(threshold) and threshold > 0):
+        raise ShapeError(f"threshold must be finite and positive, got {threshold!r}")
     flagged = [
         (r + 1, c + 1, value)
         for r, row in enumerate(stats.significance.tolist())

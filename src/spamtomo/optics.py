@@ -126,7 +126,9 @@ _Z = (0.0, 0.0, 1.0)
 class WavePlateSetting:
     """Rotation angles (radians) of one quarter/half-wave-plate pair.
 
-    Angles are stored modulo pi since a wave plate's action has period pi.
+    Each angle must be a finite real number (not a bool; see
+    ``_is_finite_real``), or :class:`NonPhysicalError` is raised.  Angles
+    are stored modulo pi since a wave plate's action has period pi.
     """
 
     qwp_angle: float
@@ -135,8 +137,8 @@ class WavePlateSetting:
     def __post_init__(self):
         for name in ("qwp_angle", "hwp_angle"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise NonPhysicalError(f"{name} must be finite, got {value}")
+            if not _is_finite_real(value):
+                raise NonPhysicalError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value) % math.pi)
 
 
@@ -247,8 +249,9 @@ class NoiseModel:
     each repetition; ``None`` means an infinite budget (analytic mode, no
     sampling).  ``angle_jitter_sigma`` is the standard deviation of an
     independent Gaussian perturbation applied to every wave-plate angle,
-    redrawn once per repetition.  Identical seeds give bit-identical
-    results.
+    redrawn once per repetition.  ``seed`` is any integer (a numpy
+    integer included, not a bool) in [0, 2**64).  Identical seeds give
+    bit-identical results.
     """
 
     shots_per_setting: int | None = DEFAULT_SHOTS
@@ -271,7 +274,7 @@ class NoiseModel:
                 f"angle_jitter_sigma must be a finite number >= 0, got {self.angle_jitter_sigma!r}",
                 field="angle_jitter_sigma",
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}", field="seed")
 
 

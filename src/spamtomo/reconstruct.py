@@ -68,9 +68,10 @@ def loop_bootstrap(values, known_w):
     The residual is the largest element-wise mismatch between C and the
     loop's ``D B^-1 A``, so it does not depend on ``W1``.  Rescaling onto
     the unit sphere happens once, over every recovered vector.  An entry
-    of C or D, which the guard does not see, that is NaN or inf, or so
-    large that the squares of the entries or of the recovered vectors
-    overflow, is a ShapeError that names it.
+    of W1, A or B that is NaN, inf or beyond about 1e102 makes its block
+    singular.  An entry of C or D, which the guard does not see, that is
+    NaN or inf, or so large that the squares of the entries or of the
+    recovered vectors overflow, is a ShapeError that names it.
     """
     if np.ndim(values) != 2:
         raise ShapeError(f"loop expects one 6x6 or 4x4 matrix, got shape {np.shape(values)}")

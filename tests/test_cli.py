@@ -31,6 +31,20 @@ class TestCli:
         code = main(["full", "--config", config, "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_compact_detection_prints_the_indeterminate_note(self, tmp_path, capsys):
+        # with four settings a detection has no candidate locations; the
+        # note says so in their place
+        config = write_config(tmp_path, {"error_injections": [{"prep": 1, "setting": 1, "hwp_offset": "pi/4"}]})
+        code = main(["analyze", "--config", config, "--seed", "0", "--scheme", "n+1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("correlated SPAM error detected: deviation at element (1, 1)")
+        assert lines[1] == (
+            "correlated error present, location indeterminate: with four settings the "
+            "duplicated rows/columns alias distinct errors onto row 1/column 1"
+        )
+        assert not any(line.startswith("candidate locations") for line in lines)
+
     def test_flag_overrides(self, tmp_path):
         config = write_config(tmp_path, {"seed": 1, "scheme": "2n"})
         code = main(

@@ -11,13 +11,18 @@ from spamtomo import (
     DEFAULT_HWP_ANGLES,
     DEFAULT_QWP_ANGLES,
     ConfigError,
+    DeltaStats,
     ErrorInjection,
     ExperimentPlan,
     NoiseModel,
+    NonPhysicalError,
     RunConfig,
     Scheme,
+    ShapeError,
     SourceKind,
+    WavePlateSetting,
     config_from_dict,
+    detect,
     load_config,
     parse_angle,
 )
@@ -54,6 +59,17 @@ class TestParseAngle:
     def test_rejects_non_finite(self):
         with pytest.raises(ConfigError):
             parse_angle(float("inf"))
+
+    @pytest.mark.parametrize("value", [True, None, [0.5], complex(1, 0)], ids=repr)
+    def test_rejects_what_is_not_a_real_number(self, value):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_angle(value, "qwp")
+        assert str(excinfo.value) == f"qwp must be a finite number, got {value!r}"
+        assert excinfo.value.field == "qwp"
+
+    def test_accepts_numpy_floats(self):
+        assert parse_angle(np.float32(0.5)) == 0.5
+        assert type(parse_angle(np.float64(0.25))) is float
 
 
 class TestLoadConfig:
@@ -182,6 +198,18 @@ class TestLoadConfig:
         assert excinfo.value.field == field
         assert field in str(excinfo.value)
 
+    @pytest.mark.parametrize("raw, message, field", [
+        ([{"seed": 1}], "configuration must be a JSON object", None),
+        ({"shots": "many"}, "shots must be an integer, null or 'inf', got 'many'", "shots"),
+        ({"error_injections": [{"prep": 1, "setting": 1}]}, "error_injections[0] is missing ['hwp_offset']",
+         "error_injections"),
+    ], ids=["not an object", "shots word", "injection without offset"])
+    def test_document_errors_named(self, raw, message, field):
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(raw)
+        assert str(excinfo.value) == message
+        assert excinfo.value.field == field
+
     def test_bad_threshold(self, tmp_path):
         path = write_config(tmp_path, {"threshold": -1})
         with pytest.raises(ConfigError, match="threshold"):
@@ -200,6 +228,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as excinfo:
             RunConfig(experiment=ExperimentPlan(repetitions=repetitions))
         assert excinfo.value.field == "repetitions"
+
+    def test_known_povms_of_unequal_shapes(self):
+        # arrays numpy cannot stack even as objects
+        with pytest.raises(ConfigError, match=r"^known_povms must be three 3-vectors of finite numbers, got ") as excinfo:
+            RunConfig(known_povms=[np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2))])
+        assert excinfo.value.field == "known_povms"
 
     def test_largest_shot_budget_accepted(self):
         config = RunConfig(experiment=ExperimentPlan(noise=NoiseModel(shots_per_setting=2**63 - 1)))
@@ -257,39 +291,51 @@ def oracle_finite_real(value):
 NUMBER_LIKE = [
     True, False, 0, 1, 3, -2, 2**63 - 1, 2**63, 2**64, 10**400,
     np.int64(3), np.uint64(3), np.int8(0), np.bool_(True),
-    0.5, 2.0, -0.5, 0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e308,
-    np.float64(0.5), np.float32(0.5), np.float32(float("inf")), np.float16(2.0),
+    0.5, 2.0, -0.5, 0.0, -0.0, 1e-300, float("nan"), float("inf"), -float("inf"), 1e308,
+    np.float64(0.5), np.float32(0.5), np.float32(float("inf")), np.float32(float("nan")), np.float16(2.0),
     Fraction(1, 2), Fraction(3), Decimal("0.5"), Decimal(3), Decimal("nan"),
-    "3", "0.5", None, [3], complex(1, 0),
+    np.array(3.0), np.array(3), "3", "0.5", None, [3], complex(1, 0),
 ]
 
-# field -> (build it from a value, the rule it must follow)
+
+def _detect_threshold(value):
+    return detect(DeltaStats(np.zeros((3, 3)), np.ones((3, 3)), np.zeros((3, 3)), 2, Scheme.TWO_N), value)
+
+
+# field -> (build it from a value, the rule it must follow, the error a
+# refusal raises)
 VALIDATED_FIELDS = {
-    "prep": (lambda v: ErrorInjection(v, 1, 0.1), lambda v: oracle_integer(v) and v >= 1),
-    "setting": (lambda v: ErrorInjection(1, v, 0.1), lambda v: oracle_integer(v) and v >= 1),
-    "hwp_offset": (lambda v: ErrorInjection(1, 1, v), oracle_finite_real),
+    "prep": (lambda v: ErrorInjection(v, 1, 0.1), lambda v: oracle_integer(v) and v >= 1, ConfigError),
+    "setting": (lambda v: ErrorInjection(1, v, 0.1), lambda v: oracle_integer(v) and v >= 1, ConfigError),
+    "hwp_offset": (lambda v: ErrorInjection(1, 1, v), oracle_finite_real, ConfigError),
     "shots": (lambda v: NoiseModel(shots_per_setting=v),
-              lambda v: v is None or (oracle_integer(v) and 1 <= v < 2**63)),
-    "seed": (lambda v: NoiseModel(seed=v),
-             lambda v: isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**64),
-    "repetitions": (lambda v: ExperimentPlan(repetitions=v), lambda v: oracle_integer(v) and v >= 1),
-    "angle_jitter_sigma": (lambda v: NoiseModel(angle_jitter_sigma=v), lambda v: oracle_finite_real(v) and v >= 0),
+              lambda v: v is None or (oracle_integer(v) and 1 <= v < 2**63), ConfigError),
+    "seed": (lambda v: NoiseModel(seed=v), lambda v: oracle_integer(v) and 0 <= v < 2**64, ConfigError),
+    "repetitions": (lambda v: ExperimentPlan(repetitions=v), lambda v: oracle_integer(v) and v >= 1, ConfigError),
+    "angle_jitter_sigma": (lambda v: NoiseModel(angle_jitter_sigma=v),
+                           lambda v: oracle_finite_real(v) and v >= 0, ConfigError),
     "threshold": (lambda v: RunConfig(mode="simulate", detection_threshold=v),
-                  lambda v: oracle_finite_real(v) and v > 0),
+                  lambda v: oracle_finite_real(v) and v > 0, ConfigError),
+    "qwp": (lambda v: WavePlateSetting(v, 0.0), oracle_finite_real, NonPhysicalError),
+    "hwp": (lambda v: WavePlateSetting(0.0, v), oracle_finite_real, NonPhysicalError),
+    "detect_threshold": (_detect_threshold, lambda v: oracle_finite_real(v) and v > 0, ShapeError),
+    # a string is parsed first, and the two strings above are finite
+    "angle": (parse_angle, lambda v: oracle_finite_real(v) or v in ("3", "0.5"), ConfigError),
 }
 
 
 @pytest.mark.parametrize("field", list(VALIDATED_FIELDS))
 def test_number_checks_follow_the_numbers_rules(field):
     # exact int and float skip the numbers ABC checks; every other type
-    # must still be accepted or refused as those checks decide
-    build, rule = VALIDATED_FIELDS[field]
+    # must still be accepted or refused as those checks decide, and a
+    # refusal is the field's own error, never another exception
+    build, rule, error = VALIDATED_FIELDS[field]
     wrong = []
     for value in NUMBER_LIKE:
         try:
             build(value)
             accepted = True
-        except ConfigError:
+        except error:
             accepted = False
         if accepted != rule(value):
             wrong.append(value)

@@ -348,6 +348,16 @@ class TestMeasurementErrors:
         with pytest.raises(DataFormatError, match="header"):
             load_measurements(self.write(tmp_path, "0.0,0.0,0.0,0.0\n"))
 
+    @pytest.mark.parametrize("fields, message", [
+        ("scheme=3n blocks=1", "unknown scheme '3n' in header"),
+        ("scheme=2n blocks=ten", "block count 'ten' is not an integer"),
+    ])
+    def test_header_values_checked(self, tmp_path, fields, message):
+        with pytest.raises(DataFormatError) as excinfo:
+            load_measurements(self.write(tmp_path, f"# spamtomo-measurements v1 {fields}\n"))
+        assert str(excinfo.value) == message
+        assert (excinfo.value.block, excinfo.value.row, excinfo.value.col) == (None, None, None)
+
     def test_block_count_mismatch(self, tmp_path):
         text = (
             "# spamtomo-measurements v1 scheme=n+1 blocks=2\n"

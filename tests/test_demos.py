@@ -1,4 +1,5 @@
-"""Every narrative demo runs to completion against the current API."""
+"""Every narrative demo runs to completion against the current API, with
+every warning an error."""
 
 import os
 import subprocess
@@ -19,7 +20,7 @@ def test_demos_found():
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,

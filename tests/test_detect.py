@@ -129,6 +129,17 @@ class TestPartialDeterminant:
         col_mags = np.abs(deviation).max(axis=0)
         assert col_mags[0] == np.abs(deviation).max()
 
+    @pytest.mark.parametrize("bad", [1e160, -1e160, 1e300])
+    @pytest.mark.parametrize("entry, corner", [((0, 0), "upper-left corner"), ((3, 3), "lower-right corner")])
+    def test_entry_too_large_to_square_makes_its_corner_singular(self, entry, corner, bad):
+        # the guard's scale sums the squared entries; past the float range
+        # it is inf, and the corner is singular rather than an overflow
+        mean = run_experiment(ExperimentPlan(noise=NoiseModel(seed=3))).mean(axis=0)
+        mean[entry] = bad
+        with pytest.raises(SingularMatrixError, match=rf"^near-singular {corner}: .* at scale inf$") as info:
+            partial_determinant(mean)
+        assert info.value.where == corner
+
     def test_corner_blocks_layout(self, rng):
         # S = [[A, B], [C, D]] with distinct blocks gives A^-1 B D^-1 C,
         # for one matrix and for each matrix of a stack
@@ -337,27 +348,6 @@ class TestDetect:
     def test_rejects_non_finite_threshold(self, threshold):
         with pytest.raises(ShapeError, match="threshold"):
             detect(make_stats(np.zeros((3, 3))), threshold=threshold)
-
-    @pytest.mark.parametrize("threshold", [
-        3.0, 3, np.float64(3.0), np.float32(3.0), np.int64(3), np.array(3.0), 1e-300, 10**400,
-        0.0, -1.0, True, np.float32("nan"), "3", None,
-    ], ids=repr)
-    def test_threshold_checked_as_numpy_checks_it(self, threshold):
-        # a float takes math.isfinite; every other type keeps np.isfinite's
-        # answer, or its TypeError
-        def reference():
-            if not (np.isfinite(threshold) and threshold > 0):
-                raise ShapeError("threshold")
-            return float(threshold)
-
-        def outcome(call):
-            try:
-                return call()
-            except (ShapeError, TypeError) as exc:
-                return type(exc)
-
-        expected = outcome(reference)
-        assert outcome(lambda: detect(make_stats(np.zeros((3, 3))), threshold).threshold) == expected
 
 
 class TestLocalize:

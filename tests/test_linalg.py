@@ -113,6 +113,17 @@ class TestGuardedInverse:
             with np.errstate(over="ignore"):
                 guarded_inv3(m, where="x")
 
+    def test_entry_too_large_to_square_is_singular(self):
+        # no overflow warning: the scale is inf, so the determinant is small
+        for entry in ((0, 0), (1, 2)):
+            m = np.eye(3)
+            m[entry] = 1e160
+            with pytest.raises(SingularMatrixError, match=r"^near-singular x: \|det\| = .* at scale inf$"):
+                guarded_inv3(m, where="x")
+        # and products that overflow in the adjugate too
+        with pytest.raises(SingularMatrixError, match=r"^near-singular x: \|det\| = (inf|nan) at scale inf$"):
+            guarded_inv3(np.eye(3) * 1e160, where="x")
+
     def test_wrong_shape(self):
         with pytest.raises(SingularMatrixError, match="x must be 3x3"):
             guarded_inv3(np.eye(4), where="x")

@@ -49,11 +49,13 @@ from spamtomo import (  # noqa: E402
     write_report,
 )
 from spamtomo import optics  # noqa: E402
+from spamtomo._linalg import DET_RTOL, guarded_inv3  # noqa: E402
 from spamtomo.config import _KNOWN_KEYS  # noqa: E402
 from spamtomo.data_io import _first_malformed, _parse, _parse_header  # noqa: E402
 from spamtomo.qubit import density_from_stokes, povm_element_fidelity, povm_from_observable  # noqa: E402
 from conftest import matrix_fidelity, matrix_relative_error, sample_invertible, sample_stokes_ball  # noqa: E402
 from test_data_io import oracle_jsonify  # noqa: E402
+from test_linalg import oracle_adjugate  # noqa: E402
 from test_optics import SOURCE_RHO, jones_observable, jones_state  # noqa: E402
 
 
@@ -216,6 +218,54 @@ def test_delta_statistics_bytes_equal_numpy(seed, scheme, factorized, shift, var
     assert stats.mean.tobytes() == mean.tobytes()
     assert stats.std.tobytes() == std.tobytes()
     assert stats.significance.tobytes() == significance.tobytes()
+
+
+def oracle_guarded_inv3(m, where):
+    """The guarded inverse's formula as written before it allowed for
+    overflow: the written-out adjugate, the determinant by the first row,
+    the Frobenius scale as ``np.linalg.norm`` sums it, and the first
+    singular matrix named.  Returns the inverse's bytes, or the error's
+    text and ``where``."""
+    adj = oracle_adjugate(m)
+    det = m[..., 0, 0] * adj[..., 0, 0] + m[..., 0, 1] * adj[..., 1, 0] + m[..., 0, 2] * adj[..., 2, 0]
+    scale = (np.sqrt(np.add.reduce(m * m, axis=(-2, -1))) / math.sqrt(3.0)) ** 3
+    singular = ~np.isfinite(det) | (np.abs(det) <= DET_RTOL * scale)
+    if not singular.any():
+        return (adj / det[..., None, None]).tobytes()
+    index = tuple(np.argwhere(singular)[0])
+    name, samples = (where, index) if isinstance(where, str) else (where[index[-1]], index[:-1])
+    prefix = "".join(f"sample {k + 1}: " for k in samples)
+    return f"{prefix}near-singular {name}: |det| = {abs(det[index]):.3e} at scale {scale[index]:.3e}", name
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(3, 3), (4, 3, 3), (2, 3, 3, 3)]),
+    exponent=st.integers(-100, 100),
+    spread=st.sampled_from([0, 1, 20, 200]),
+    special=st.lists(st.tuples(st.integers(0, 35), st.sampled_from([0.0, -0.0, 5e-324, 1e100, -1e100])), max_size=3),
+    degenerate=st.sampled_from([None, None, 0.0, 1e-11, 1e-9]),
+    named=st.booleans(),
+)
+def test_guarded_inverse_equals_its_formula_below_overflow(seed, shape, exponent, spread, special, degenerate, named):
+    # for entries up to 1e100, where no square or product overflows, the
+    # decisions, the error texts and the inverse's bits are the formula's:
+    # entries of one magnitude or spread over decades, a few special
+    # values, and row 3 a copy of row 1 plus a nudge of its own about the
+    # guard's bound
+    rng = np.random.default_rng(seed)
+    m = np.clip(rng.standard_normal(shape) * 10.0 ** (exponent - rng.integers(0, spread + 1, shape)), -1e100, 1e100)
+    for k, value in special:
+        m.reshape(-1)[k % m.size] = value
+    if degenerate is not None:
+        m[..., 2, :] = m[..., 0, :] + degenerate * m[..., 2, :]
+    where = tuple(f"block {k}" for k in range(shape[-3])) if named and len(shape) > 2 else "the block"
+    try:
+        got = guarded_inv3(m, where=where).tobytes()
+    except SingularMatrixError as exc:
+        got = str(exc), exc.where
+    assert got == oracle_guarded_inv3(m, where)
 
 
 def noisy_stack(rng, count, noise=0.05):

@@ -66,6 +66,10 @@ class TestDensityStokes:
         with pytest.raises(NonPhysicalError):
             density_from_stokes([0.8, 0.8, 0.8])
 
+    def test_rejects_two_components(self):
+        with pytest.raises(NonPhysicalError, match=r"^Stokes vector must have 3 components, got shape \(2,\)$"):
+            density_from_stokes([0.0, 1.0])
+
 
 class TestPovm:
     def test_projective_pair(self):
@@ -101,6 +105,10 @@ class TestPovm:
     def test_rejects_long_observable(self):
         with pytest.raises(NonPhysicalError):
             povm_from_observable([1, 1, 0])
+
+    def test_rejects_two_components(self):
+        with pytest.raises(NonPhysicalError, match=r"^observable vector must have 3 components, got shape \(2,\)$"):
+            povm_from_observable([0.0, 1.0])
 
 
 def born(rho, element):

@@ -205,6 +205,19 @@ class TestLoopBootstrap:
         with pytest.raises(ShapeError, match=rf"^entry \({entry[0] + 1}, {entry[1] + 1}\) = {re.escape(str(bad))} outside"):
             loop_bootstrap(mean, theoretical_observables(plan)[:, :3])
 
+    @pytest.mark.parametrize("bad", [1e160, -1e160, 1e300])
+    @pytest.mark.parametrize("entry, block", [((0, 0), "upper-left corner"), ((0, 3), "upper-right corner")])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_entry_too_large_to_square_in_an_inverted_block_is_named(self, scheme, entry, block, bad):
+        # entry (1, 4) is B's first in both schemes; a square past the
+        # float range makes the guard's scale inf and its block singular
+        plan = ExperimentPlan(scheme=scheme, noise=NoiseModel(seed=3))
+        mean = np.mean(run_experiment(plan), axis=0)
+        mean[entry] = bad
+        with pytest.raises(SingularMatrixError, match=rf"^near-singular {block}: .* at scale inf$") as info:
+            loop_bootstrap(mean, theoretical_observables(plan)[:, :3])
+        assert info.value.where == block
+
     def test_rescales_only_beyond_roundoff(self):
         # a row 2 ulp past the sphere is a unit vector up to rounding and
         # is left as it is; a row at 1 + 1e-9 is rescaled and flagged
