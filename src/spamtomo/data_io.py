@@ -99,14 +99,18 @@ def _first_malformed(blocks, size):
                     f"block {b}, row {r} has {len(parts)} columns, expected {size}",
                     block=b, row=r,
                 )
-            for c, part in enumerate(parts, start=1):
-                try:
-                    _parse([line], usecols=c - 1)
-                except ValueError:
-                    return DataFormatError(
-                        f"block {b}, row {r}, column {c}: {part!r} is not a number",
-                        block=b, row=r, col=c,
-                    )
+            try:
+                _parse([line])
+            except ValueError:
+                # only the row that fails is parsed cell by cell
+                for c, part in enumerate(parts, start=1):
+                    try:
+                        _parse([line], usecols=c - 1)
+                    except ValueError:
+                        return DataFormatError(
+                            f"block {b}, row {r}, column {c}: {part!r} is not a number",
+                            block=b, row=r, col=c,
+                        )
     return DataFormatError("measurement data could not be parsed")
 
 

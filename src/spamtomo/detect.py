@@ -22,7 +22,6 @@ settings 2 and 3.  The corner gather, the partial determinant and its
 statistics all work on a whole ``(repetitions, n, n)`` stack at once.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +59,24 @@ def validate_expectation_matrix(values):
             f"{prefix}entry ({r + 1}, {c + 1}) = {values[index]} outside [-1, 1]"
         )
     return values
+
+
+def _require_finite(result, values, what):
+    """End a kernel that computed ``result`` from the expectation
+    matrices ``values``: return ``result`` when every element is finite,
+    and otherwise raise a :class:`ShapeError`.  It names the first entry
+    of ``values`` outside [-1, 1], with the message of
+    :func:`validate_expectation_matrix`, and when every entry is in range
+    the first element of ``result`` that is not finite: ``what``, then
+    its 1-based row and column, prefixed by ``sample k:`` for each
+    leading axis."""
+    if np.isfinite(result).all():
+        return result
+    validate_expectation_matrix(values)
+    index = tuple(np.argwhere(~np.isfinite(result))[0])
+    prefix = "".join(f"sample {k + 1}: " for k in index[:-2])
+    position = f" ({index[-2] + 1}, {index[-1] + 1})" if index else ""  # none for a scalar
+    raise ShapeError(f"{prefix}{what}{position} is {result[index]}, not finite")
 
 
 def embed_n_plus_1(compact):
@@ -122,9 +139,17 @@ def partial_determinant(values):
     degenerate choice of settings rather than a correlated error.  For a
     stack the error names the lowest failing sample (1-based), and within
     it the upper-left corner before the lower-right.
+
+    Any finite matrices are taken as given; only
+    :func:`validate_expectation_matrix` and the loader enforce [-1, 1].
+    A result that is not finite (a NaN or inf in B or C, or a product
+    past the float range) is a :class:`ShapeError` naming the first entry
+    outside [-1, 1], or, with every entry in range, the Delta element.
     """
     values = np.asarray(values, dtype=float)
-    return _partial_determinant(values, Scheme.of_shape(values.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = _partial_determinant(values, Scheme.of_shape(values.shape))
+    return _require_finite(delta, values, "Delta element")
 
 
 def _partial_determinant(values, scheme):
@@ -157,8 +182,16 @@ def delta_statistics(samples):
     element is exactly zero its significance is the infinity sentinel if
     the mean deviation is real (beyond the 1e-12 exact-algebra floor) and
     zero otherwise.  A singular corner in any sample aborts the analysis
-    with the sample index attached, and so does a NaN or infinite entry
-    (a :class:`ShapeError` naming the sample and the entry).
+    with the sample index attached.
+
+    Any finite matrices are taken as given; only
+    :func:`validate_expectation_matrix` and the loader enforce [-1, 1],
+    so a finite entry outside that range that overflows nothing is
+    analysed as it stands.  Statistics that are not finite (from a NaN or
+    inf in B or C, or a product or square past the float range) are a
+    :class:`ShapeError` naming the sample and the first entry outside
+    [-1, 1], or, with every entry in range, the Delta element whose
+    standard deviation is not finite.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3:
@@ -167,16 +200,16 @@ def delta_statistics(samples):
         raise ShapeError(f"need at least 2 repetitions for statistics, got {len(samples)}")
     scheme = Scheme.of_shape(samples.shape)
     n = len(samples)
-    # a NaN or inf in B or C passes the guard on A and D, and reaches the
-    # mean; it is named there rather than sought in every sample
-    with np.errstate(invalid="ignore"):
+    # a NaN or inf in B or C passes the guard on A and D, and so does a
+    # product or square past the float range; any of them leaves the std
+    # not finite, and is named there rather than sought in every sample
+    with np.errstate(over="ignore", invalid="ignore"):
         stack = _partial_determinant(samples, scheme) - _EYE3
         # numpy's own two-pass mean and (N-1) standard deviation, bit for bit
         mean = stack.sum(axis=0) / n
-    if not math.isfinite(sum(mean.ravel().tolist())):  # NaN or inf in the mean
-        validate_expectation_matrix(samples)
-    dev = stack - mean
-    std = np.sqrt((dev * dev).sum(axis=0) / (n - 1))
+        dev = stack - mean
+        std = np.sqrt((dev * dev).sum(axis=0) / (n - 1))
+    _require_finite(std, samples, "standard deviation of Delta element")
     # "zero" spread/mean below the exact-algebra floor, so roundoff dust
     # from identical samples cannot masquerade as significance; the
     # division runs only where the spread is not zero

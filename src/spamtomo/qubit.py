@@ -25,6 +25,8 @@ All functions are pure and operate on plain numpy arrays, so they are safe
 for concurrent use.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NonPhysicalError, ShapeError
@@ -98,7 +100,9 @@ def _score_pair(s, t, what):
         sq = _norms_squared(v)
         bad = ~(sq <= (1.0 + ATOL_INPUT) ** 2)  # NaN fails too
         if bad.any():
-            raise NonPhysicalError(f"non-physical {name} vector: |v| = {np.sqrt(sq[bad][0])} exceeds the unit ball")
+            # the norm of the vector itself: its squared norm may overflow
+            norm = math.hypot(*v[bad][0].tolist())
+            raise NonPhysicalError(f"non-physical {name} vector: |v| = {norm} exceeds the unit ball")
         squares.append(sq)
     return s, t, squares[0], squares[1]
 

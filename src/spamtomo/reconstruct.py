@@ -16,13 +16,12 @@ rescaled vector is pure) only once every vector is recovered, so
 projection bias does not compound.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import guarded_inv3
-from .detect import corner_blocks, validate_expectation_matrix
+from .detect import _require_finite, corner_blocks
 from .errors import ShapeError
 from .qubit import PURITY_ATOL, fidelity, relative_error
 # Not called here; perfbench/layertrace.py still traces this name.
@@ -69,9 +68,15 @@ def loop_bootstrap(values, known_w):
     loop's ``D B^-1 A``, so it does not depend on ``W1``.  Rescaling onto
     the unit sphere happens once, over every recovered vector.  An entry
     of W1, A or B that is NaN, inf or beyond about 1e102 makes its block
-    singular.  An entry of C or D, which the guard does not see, that is
-    NaN or inf, or so large that the squares of the entries or of the
-    recovered vectors overflow, is a ShapeError that names it.
+    singular.
+
+    Any finite matrix is taken as given: only
+    ``validate_expectation_matrix`` and the loader enforce [-1, 1].  When
+    the summed squares of the entries and of the recovered vectors are
+    not finite (an entry of C or D, which the guard does not see, that is
+    NaN or inf or whose square overflows, or vectors past the float
+    range) the loop raises a ShapeError.  It names the first entry
+    outside [-1, 1], or, with every entry in range, the sum.
     """
     if np.ndim(values) != 2:
         raise ShapeError(f"loop expects one 6x6 or 4x4 matrix, got shape {np.shape(values)}")
@@ -88,10 +93,10 @@ def loop_bootstrap(values, known_w):
         raw = np.vstack([prep, np.hstack([known_w, known_w @ a_inv @ b])[:, :n].T])
         # the summed squares of the entries and of the recovered vectors
         # are not finite for a NaN, an inf or a square past the float
-        # range; past the guard, such an entry sits in C or D
-        in_range = math.isfinite(np.vdot(values, values) + np.vdot(raw, raw))
-    if not in_range:
-        validate_expectation_matrix(values)
+        # range, in an entry of C or D (the guard sees W1, A and B) or in
+        # a recovered vector
+        squares = np.vdot(values, values) + np.vdot(raw, raw)
+    _require_finite(squares, values, "the sum of squares of the entries and recovered vectors")
     vectors, flags = _clip_to_ball(raw)
     return LoopResult(
         prep_stokes=vectors[:n],

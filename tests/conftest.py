@@ -24,6 +24,16 @@ def sample_invertible(rng, max_tries=100):
     raise RuntimeError("no invertible draw found")
 
 
+def tiny_corner_stack(rng, repetitions=10):
+    """A 2n stack with every entry in [-1, 1] whose 3x3 corners A and D
+    are near 1e-100: they invert, but put Delta near 1e200, whose squared
+    deviation is past the float range."""
+    stack = rng.uniform(-1.0, 1.0, (repetitions, 6, 6))
+    for corner in (slice(0, 3), slice(3, 6)):
+        stack[:, corner, corner] = 1e-100 * (np.eye(3) + 0.1 * rng.uniform(-1.0, 1.0, (repetitions, 3, 3)))
+    return stack
+
+
 def matrix_fidelity(a, b):
     """Test oracle: the matrix closed form ``tr(ab) + 2 sqrt(det a det b)``
     of two qubit density matrices.  A determinant within roundoff of 0 (a

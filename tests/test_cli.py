@@ -1,11 +1,14 @@
 import json
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from spamtomo import ConfigError, ExperimentPlan, NoiseModel, load_config, run
+from spamtomo import ConfigError, ExperimentPlan, NoiseModel, load_config, run, save_measurements
 from spamtomo.cli import build_parser, main
+from conftest import tiny_corner_stack
 
 
 def write_config(tmp_path, payload):
@@ -157,6 +160,19 @@ class TestCli:
         code = main(["analyze", "--data", str(path), "--out", str(tmp_path / "b")])
         assert code == 1
         assert "block 2, row 1, column 5" in capsys.readouterr().err
+
+    def test_overflowing_statistics_exit_code(self, tmp_path, capsys):
+        # every entry in range, but the statistics overflow: that is named,
+        # with no numpy warning, no report and no clean verdict
+        path = str(tmp_path / "tiny.csv")
+        save_measurements(path, tiny_corner_stack(np.random.default_rng(0)), "2n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze", "--data", path, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert caught == []
+        assert re.match(r"error: standard deviation of Delta element \(\d, \d\) is inf, not finite$", capsys.readouterr().err)
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_unparseable_config_value_exit_code(self, tmp_path, capsys):
         config = write_config(tmp_path, {"state": "circular"})

@@ -324,6 +324,24 @@ class TestMeasurementErrors:
         with pytest.raises(DataFormatError, match="block 1 has 3 rows"):
             load_measurements(self.write(tmp_path, text))
 
+    def test_malformed_number_parses_each_row_once(self, tmp_path, monkeypatch):
+        # the error search parses each good row whole and only the failing
+        # row cell by cell, after the chunked parse and the line scan's
+        path = str(tmp_path / "m.csv")
+        save_measurements(path, np.zeros((2000, 6, 6)), Scheme.TWO_N)
+        text = Path(path).read_text()
+        Path(path).write_text(text[: text.rindex(",") + 1] + "zero\n")
+        parse, calls = data_io._parse, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(data_io, "_parse", counted)
+        with pytest.raises(DataFormatError, match=r"^block 2000, row 6, column 6: 'zero' is not a number$"):
+            load_measurements(path)
+        assert len(calls) <= 2000 * 6 + 6 + 2
+
     def test_parse_checked_before_range(self, tmp_path):
         block_1 = ["0.0,0.0,7.0,0.0"] + ["0.0,0.0,0.0,0.0"] * 3
         block_2 = ["0.0,0.0,0.0,0.0"] * 3 + ["0.0,zero,0.0,0.0"]

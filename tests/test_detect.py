@@ -20,7 +20,7 @@ from spamtomo import (
     validate_expectation_matrix,
 )
 from spamtomo.detect import corner_blocks
-from conftest import sample_invertible, sample_stokes_ball
+from conftest import sample_invertible, sample_stokes_ball, tiny_corner_stack
 
 
 def consistent_matrix(rng, rows=6, cols=6):
@@ -184,6 +184,19 @@ class TestPartialDeterminant:
         with pytest.raises(SingularMatrixError, match="lower-right"):
             partial_determinant(s)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_result_that_is_not_finite_names_the_entry(self, bad):
+        # the guard inverts A and D; a NaN or inf in B or C would come
+        # back as Delta
+        s = paper_angle_matrix()
+        s[0, 4] = bad
+        with pytest.raises(ShapeError, match=rf"^entry \(1, 5\) = {bad} outside"):
+            partial_determinant(s)
+        stack = np.array([paper_angle_matrix()] * 3)
+        stack[2, 4, 0] = bad
+        with pytest.raises(ShapeError, match=rf"^sample 3: entry \(5, 1\) = {bad} outside"):
+            partial_determinant(stack)
+
     def test_singular_corner_named(self):
         s = paper_angle_matrix()
         s[:3, :3] = 0.0
@@ -292,6 +305,30 @@ class TestDeltaStatistics:
         assert entry[0] in rows and entry[1] in cols
         samples[4][entry] = bad
         with pytest.raises(ShapeError, match=rf"^sample 5: entry \({entry[0] + 1}, {entry[1] + 1}\) = {bad}"):
+            delta_statistics(samples)
+
+    @pytest.mark.parametrize("entry", [(0, 4), (4, 0)])
+    def test_entry_whose_square_overflows_is_named(self, entry):
+        # 1e160 in B or C of sample 1 is finite, but its deviation squared
+        # is not: the std is inf, which would read as no significance
+        samples = run_experiment(ExperimentPlan(errors=(ErrorInjection(1, 1, np.pi / 4),), noise=NoiseModel(seed=3)))
+        samples[0][entry] = 1e160
+        with pytest.raises(ShapeError, match=rf"^sample 1: entry \({entry[0] + 1}, {entry[1] + 1}\) = 1e\+160 outside"):
+            delta_statistics(samples)
+
+    def test_finite_entry_out_of_range_is_analysed_as_given(self):
+        # only the loader and validate_expectation_matrix enforce [-1, 1];
+        # an entry that overflows nothing gives finite statistics
+        samples = run_experiment(ExperimentPlan(errors=(ErrorInjection(1, 1, np.pi / 4),), noise=NoiseModel(seed=3)))
+        samples[0][0, 4] = 1e150
+        stats = delta_statistics(samples)
+        assert np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
+
+    def test_overflow_of_in_range_entries_names_the_delta_element(self, rng):
+        # each sample's Delta is finite; its statistics are not
+        samples = tiny_corner_stack(rng)
+        assert np.isfinite(partial_determinant(samples)).all()
+        with pytest.raises(ShapeError, match=r"^standard deviation of Delta element \(\d, \d\) is inf, not finite$"):
             delta_statistics(samples)
 
     def test_rejects_a_single_matrix(self, rng):

@@ -7,11 +7,13 @@ matrices, the vector scores against their matrix forms and across memory
 layouts, the measurement-file loader on random and fuzzed input and
 against a line scan of every file, fuzzed configs, the simulator's
 samples against the run length and block size and as count fractions,
-and the report writer against json.dumps."""
+the report writer against json.dumps, and the analysis kernels on
+inputs of any magnitude."""
 
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from spamtomo import (  # noqa: E402
     Scheme,
     SingularMatrixError,
     SourceKind,
+    SpamTomoError,
     WavePlateSetting,
     config_from_dict,
     default_settings,
@@ -929,3 +932,90 @@ def test_report_bytes_equal_json_dumps(tmp_path_factory, payload):
     write_report(str(path), payload)
     oracle = json.dumps(oracle_jsonify(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     assert path.read_bytes() == oracle.encode("ascii")
+
+
+# Decimal magnitudes for the kernels' inputs: subnormal, corners near
+# 1e-100 that invert to 1e100, the guard's scale limit near 1e102, squares
+# past the float range and the largest floats
+MAGNITUDES = st.sampled_from([0, 0, 0, 0, -100, -100, -50, 50, 100, -103, 103, -160, 160, 308, -320])
+SPECIALS = st.lists(st.tuples(st.integers(0, 2**16), EDGE_FLOATS | st.floats()), max_size=3)
+
+
+@st.composite
+def wild_arrays(draw, shape, halves):
+    """Uniform entries in [-1, 1] scaled by a power of ten, then up to
+    three entries set to any float.  With ``halves``, the diagonal and the
+    off-diagonal halves of the last two axes (such as the corners A, D
+    and B, C of a 6x6 matrix) take each their own power."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diagonal, off = 10.0 ** draw(MAGNITUDES), 10.0 ** draw(MAGNITUDES)
+    scale = np.full(shape[-2:], diagonal)
+    if halves:
+        rows, cols = np.indices(shape[-2:])
+        scale[(2 * rows >= shape[-2]) != (2 * cols >= shape[-1])] = off
+    values = rng.uniform(-1.0, 1.0, shape) * scale
+    for k, value in draw(SPECIALS):
+        values.reshape(-1)[k % values.size] = value
+    return values
+
+
+def _all_finite(*arrays):
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+def _inverse(data):
+    return _all_finite(guarded_inv3(data.draw(wild_arrays((2, 3, 3), False)), where="the block"))
+
+
+def _partial_determinant(data):
+    n = data.draw(st.sampled_from([6, 4]))
+    return _all_finite(partial_determinant(data.draw(wild_arrays((3, n, n), True))))
+
+
+def _statistics(data):
+    n = data.draw(st.sampled_from([6, 4]))
+    stats = delta_statistics(data.draw(wild_arrays((data.draw(st.integers(2, 5)), n, n), True)))
+    # the significance is the inf sentinel only where the spread is zero
+    spread = stats.std > 1e-12
+    return _all_finite(stats.mean, stats.std, stats.significance[spread]) and not np.isnan(stats.significance).any()
+
+
+def _loop(data):
+    n = data.draw(st.sampled_from([6, 4]))
+    result = loop_bootstrap(data.draw(wild_arrays((n, n), True)), data.draw(wild_arrays((3, 3), False)))
+    return _all_finite(result.prep_stokes, result.obs_vectors, result.consistency_residual)
+
+
+def _vectors(data):
+    k = data.draw(st.integers(1, 3))
+    return [data.draw(wild_arrays((k, 3), False)) / math.sqrt(3.0) for _ in range(2)]
+
+
+def _scores(data):
+    states, povms = _vectors(data), _vectors(data)
+    score = score_reconstruction(*states, *povms, [False] * (len(states[0]) + len(povms[0])))
+    return _all_finite(score.fidelities, score.relative_errors)
+
+
+def _fidelity(data):
+    return _all_finite(fidelity(*_vectors(data)))
+
+
+def _relative_error(data):
+    return _all_finite(relative_error(*_vectors(data)))
+
+
+@pytest.mark.parametrize(
+    "kernel", [_inverse, _partial_determinant, _statistics, _loop, _scores, _fidelity, _relative_error]
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_kernels_return_finite_numbers_or_raise(kernel, data):
+    # inputs of any magnitude, non-finite ones included: with warnings as
+    # errors each kernel returns finite numbers or raises SpamTomoError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert kernel(data)
+        except SpamTomoError:
+            pass

@@ -220,6 +220,13 @@ class TestFidelity:
         with pytest.raises(NonPhysicalError):
             fidelity([np.nan, 0.0, 0.0], S_H)
 
+    @pytest.mark.parametrize("score", [fidelity, relative_error])
+    def test_rejection_reports_the_norm_whose_square_overflows(self, score):
+        with pytest.raises(NonPhysicalError, match=r"^non-physical first vector: \|v\| = 1e\+200 exceeds"):
+            score([1e200, 0.0, 0.0], S_H)
+        with pytest.raises(NonPhysicalError, match=r"^non-physical second vector: \|v\| = 5\.0 exceeds"):
+            score(np.zeros((2, 3)), [[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ShapeError):
             fidelity(np.zeros((2, 3)), np.zeros((3, 3)))

@@ -205,6 +205,15 @@ class TestLoopBootstrap:
         with pytest.raises(ShapeError, match=rf"^entry \({entry[0] + 1}, {entry[1] + 1}\) = {re.escape(str(bad))} outside"):
             loop_bootstrap(mean, theoretical_observables(plan)[:, :3])
 
+    def test_vectors_past_the_float_range_are_named(self):
+        # every entry in range, with A near 1e-100: the observables
+        # W1 A^-1 B of large known W1 square past the float range
+        rows_true, cols_true = truth(noiseless_plan())
+        s = rows_true @ cols_true
+        s[:3, :3] *= 1e-100
+        with pytest.raises(ShapeError, match=r"^the sum of squares of the entries and recovered vectors is inf, not finite$"):
+            loop_bootstrap(s, 1e60 * cols_true[:, :3])
+
     @pytest.mark.parametrize("bad", [1e160, -1e160, 1e300])
     @pytest.mark.parametrize("entry, block", [((0, 0), "upper-left corner"), ((0, 3), "upper-right corner")])
     @pytest.mark.parametrize("scheme", list(Scheme))
