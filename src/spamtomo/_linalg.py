@@ -5,9 +5,10 @@ loop's three blocks, are each inverted in one pass, so the inverse is
 computed branch-free from the adjugate on ``(..., 3, 3)`` stacks rather
 than through a factorization per matrix.
 The singularity guard compares each determinant against the Frobenius
-scale of its matrix, which separates a degenerate choice of settings
-from an actual correlated error; a non-finite determinant, or a scale
-that overflows, counts as singular.
+scale of its matrix, so a block's size does not decide whether it is
+singular; a non-finite determinant, or a scale that overflows, counts
+as singular.  A singular corner does not tell a degenerate choice of
+settings from a correlated error: an error can drive a corner singular.
 """
 
 import math

@@ -135,10 +135,11 @@ def partial_determinant(values):
 
     Raises :class:`SingularMatrixError` naming the corner when the
     upper-left or lower-right block cannot be inverted reliably (an entry
-    that is NaN, inf or beyond about 1e102 included); that indicates a
-    degenerate choice of settings rather than a correlated error.  For a
-    stack the error names the lowest failing sample (1-based), and within
-    it the upper-left corner before the lower-right.
+    that is NaN, inf or beyond about 1e102 included).  A singular corner
+    may come from the choice of settings or from a correlated error:
+    pi/8 at (1, 1) on the default plans sets that entry, and det A, to 0.
+    For a stack the error names the lowest failing sample (1-based), and
+    within it the upper-left corner before the lower-right.
 
     Any finite matrices are taken as given; only
     :func:`validate_expectation_matrix` and the loader enforce [-1, 1].

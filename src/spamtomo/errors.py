@@ -18,8 +18,9 @@ class SingularMatrixError(SpamTomoError, ValueError):
     """A matrix that must be inverted is singular or nearly singular.
 
     ``where`` names the offending block: a corner of an expectation
-    matrix, or the known observables.  For a corner this signals a
-    degenerate choice of settings, not a correlated SPAM error.
+    matrix, or the known observables.  A singular corner does not tell
+    a degenerate choice of settings from a correlated SPAM error, which
+    can itself drive a corner singular.
     """
 
     def __init__(self, message, where=None):

@@ -326,14 +326,6 @@ class ExperimentPlan:
                 )
 
 
-def _injection_offset(plan, a, i):
-    return sum(
-        err.hwp_offset
-        for err in plan.errors
-        if err.prep_index == a and err.setting_index == i
-    )
-
-
 def _plate_angles(settings):
     return (
         np.array([s.qwp_angle for s in settings]),
@@ -343,16 +335,20 @@ def _plate_angles(settings):
 
 def _expectation_matrix(plan, qwp, hwp):
     """Noiseless matrix at the given plate angles, with the plan's
-    injected errors applied to their (preparation, setting) elements.
+    injected errors applied to their (preparation, setting) elements;
+    several at one element act as one error of their summed offset.
     ``qwp`` and ``hwp`` hold the angles of the M preparations, then of the
     N settings, on their last axis; leading axes (one per repetition)
     broadcast, so ``(..., M + N)`` angles give an ``(..., M, N)`` array."""
     m = len(plan.prep_settings)
     v = _rotate(plan, qwp, hwp)
     values = _dot([c[..., :m, None] for c in v], [c[..., None, m:] for c in v])
+    # the offsets at each element, summed in injection order
+    offsets = {}
     for err in plan.errors:
-        a, i = err.prep_index - 1, m + err.setting_index - 1
-        offset = _injection_offset(plan, err.prep_index, err.setting_index)
+        key = (err.prep_index - 1, m + err.setting_index - 1)
+        offsets[key] = offsets.get(key, 0) + err.hwp_offset
+    for (a, i), offset in offsets.items():
         w = _quarter_wave(qwp[..., i], _half_wave(hwp[..., i] + offset, _Z), -1.0)
         values[..., a, i - m] = _dot([c[..., a] for c in v], w)
     return values

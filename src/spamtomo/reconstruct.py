@@ -128,13 +128,17 @@ def score_reconstruction(rec_states, true_states, rec_povms, true_povms, renorma
     Frobenius relative errors.  Scores follow the row order, so permuting
     the inputs permutes the scores identically.  ``renormalized_flags``
     holds one rescaling flag per fidelity, states first, and is carried
-    through as booleans.
+    through as booleans; a different number of flags is a
+    :class:`ShapeError`.
     """
     if any(np.shape(v)[1:] != (3,) for v in (rec_states, true_states, rec_povms, true_povms)):
         raise ShapeError("scores need (k, 3) arrays of vectors, one per row")
     fids = fidelity(np.concatenate([rec_states, rec_povms]), np.concatenate([true_states, true_povms]))
+    flags = tuple(bool(f) for f in renormalized_flags)
+    if len(flags) != len(fids):
+        raise ShapeError(f"scores need one rescaling flag per fidelity ({len(fids)}), got {len(flags)}")
     return ReconstructionScore(
         fidelities=tuple(fids.tolist()),
         relative_errors=tuple(relative_error(rec_povms, true_povms).tolist()),
-        renormalized_flags=tuple(bool(f) for f in renormalized_flags),
+        renormalized_flags=flags,
     )

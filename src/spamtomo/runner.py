@@ -58,7 +58,10 @@ class RunReport:
         """Deterministic report dictionary (wall clock deliberately
         excluded; it goes to the timing sidecar).  ``samples`` is the
         record's repetition count, matrix size and the SHA-256 digest of
-        its little-endian float64 bytes in C order."""
+        its little-endian float64 bytes in C order.  The result sections
+        hold the results' values as they are (tuples, numpy arrays, the
+        ``Scheme`` member), which ``write_report`` writes as JSON lists
+        and strings."""
         plan = self.config.experiment
         report = {
             "schema": REPORT_SCHEMA,
@@ -73,39 +76,24 @@ class RunReport:
             },
             "exit_code": self.exit_code,
         }
+        # each section is its result's own fields, so a field added to a
+        # result reaches the report; the statistics leave out their
+        # scheme, which is the run's top-level "scheme"
+        sections = (
+            ("delta_stats", self.stats),
+            ("detection", self.detection),
+            ("reconstruction", self.reconstruction),
+            ("scores", self.scores),
+        )
+        for key, result in sections:
+            if result is not None:
+                report[key] = dict(vars(result))
         if self.stats is not None:
-            report["delta_stats"] = {
-                "mean": self.stats.mean,
-                "std": self.stats.std,
-                "significance": self.stats.significance,
-                "repetitions": self.stats.repetitions,
-            }
-        if self.detection is not None:
-            report["detection"] = {
-                "detected": self.detection.detected,
-                "threshold": self.detection.threshold,
-                "flagged_elements": list(self.detection.flagged_elements),
-                "candidate_locations": list(self.detection.candidate_locations),
-                "scheme": self.detection.scheme.value,
-                "note": self.detection.note,
-            }
+            del report["delta_stats"]["scheme"]
         if self.reconstruction is not None:
             n = len(self.reconstruction.prep_stokes)
-            report["reconstruction"] = {
-                "prep_stokes": self.reconstruction.prep_stokes,
-                "obs_vectors": self.reconstruction.obs_vectors,
-                "prep_renormalized": self.reconstruction.prep_renormalized.tolist(),
-                "obs_renormalized": self.reconstruction.obs_renormalized.tolist(),
-                "consistency_residual": self.reconstruction.consistency_residual,
-                "scored_states": list(range(1, n + 1)),
-                "scored_povms": list(range(4, n + 1)),
-            }
-        if self.scores is not None:
-            report["scores"] = {
-                "fidelities": list(self.scores.fidelities),
-                "relative_errors": list(self.scores.relative_errors),
-                "renormalized_flags": list(self.scores.renormalized_flags),
-            }
+            report["reconstruction"]["scored_states"] = list(range(1, n + 1))
+            report["reconstruction"]["scored_povms"] = list(range(4, n + 1))
         return report
 
 

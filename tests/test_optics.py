@@ -210,6 +210,28 @@ class TestTrueExpectation:
         untouched[0, 0] = False
         np.testing.assert_allclose(injected[untouched], clean[untouched], atol=1e-12)
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_injections_at_one_element_add(self, scheme):
+        # two offsets at (2, 3), with another error between them, act as
+        # one error of their sum, bit for bit, and leave every other entry
+        first, second = 0.1, np.pi / 20
+        other = ErrorInjection(1, 1, np.pi / 4)
+        errors = {
+            "two": (ErrorInjection(2, 3, first), other, ErrorInjection(2, 3, second)),
+            "summed": (ErrorInjection(2, 3, first + second), other),
+            "other": (other,),
+        }
+        for noise in (NoiseModel(seed=5), NoiseModel(shots_per_setting=None, seed=5)):
+            plans = {k: ExperimentPlan(scheme=scheme, errors=e, noise=noise) for k, e in errors.items()}
+            for simulate in (true_expectation_matrix, run_experiment):
+                two, summed, without = (simulate(plans[k]) for k in ("two", "summed", "other"))
+                np.testing.assert_array_equal(two, summed)
+                assert not np.array_equal(two[..., 1, 2], without[..., 1, 2])
+                if noise.shots_per_setting is None:
+                    untouched = np.ones(two.shape[-2:], dtype=bool)
+                    untouched[1, 2] = False
+                    np.testing.assert_array_equal(two[..., untouched], without[..., untouched])
+
 
 class TestSampleExpectation:
     """Counting-noise sampling of expectation values, seen through

@@ -916,6 +916,8 @@ REPORT_LEAVES = (
     | hnp.arrays(np.float64, ARRAY_SHAPES, elements=FINITE_FLOATS)
     | st.sampled_from([np.empty((0, 3)), np.empty((2, 0)), np.zeros((2, 0), dtype=np.int64)])
     | hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.uint8, np.bool_]), ARRAY_SHAPES)
+    # the enum members a run's report passes through as they are
+    | st.sampled_from([*Scheme, *SourceKind])
 )
 REPORT_VALUES = st.recursive(
     REPORT_LEAVES,

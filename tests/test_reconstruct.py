@@ -278,6 +278,14 @@ class TestScore:
         with pytest.raises(ShapeError):
             score_reconstruction(np.zeros(3), np.zeros(3), np.empty((0, 3)), np.empty((0, 3)), flags[:1])
 
+    def test_flag_count_must_match(self):
+        # two states and two POVM vectors give four fidelities, one flag each
+        s = np.zeros((2, 3))
+        for flags in ([True], [False] * 3, [False] * 5):
+            with pytest.raises(ShapeError, match=r"one rescaling flag per fidelity \(4\), got"):
+                score_reconstruction(s, s, s, s, flags)
+        assert score_reconstruction(s, s, s, s, [True] * 4).renormalized_flags == (True,) * 4
+
     def test_flags_carried_through(self):
         s = np.zeros((1, 3))
         score = score_reconstruction(s, s, np.empty((0, 3)), np.empty((0, 3)), renormalized_flags=[True])
